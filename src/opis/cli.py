@@ -16,7 +16,7 @@ import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +28,14 @@ from .harness import (
     ToyModel,
     TrainConfig,
     TrainingDivergence,
+    build_branch_supervision,
     finite_diff_check,
     forward,
     generate_dataset,
     generate_scene,
     train,
 )
-from .sampling import SamplerRng, ScheduleState, sample_negatives_detail
-from .supervision import assign_labels, select_cluster_centers
+from .sampling import ScheduleState
 
 __all__ = ["ConfigError", "load_config", "resolved_config_text", "main", "entrypoint"]
 
@@ -48,45 +48,28 @@ class ConfigError(ValueError):
     """Unreadable, unknown, or inconsistent configuration input."""
 
 
-_SCHEMA: dict[str, dict[str, type]] = {
-    "data": {
-        "num_classes": int,
-        "feature_dim": int,
-        "num_proposals": int,
-        "clutter_rate": float,
-        "jitter": float,
-        "feature_noise": float,
-        "min_objects": int,
-        "max_objects": int,
-        "world_size": float,
-        "object_size_min": float,
-        "object_size_max": float,
-        "clutter_size_min": float,
-        "clutter_size_max": float,
-        "coverage_iou": float,
-        "max_regen_attempts": int,
-        "prototype_seed": int,
-    },
-    "model": {"refinements": int, "init_scale": float},
-    "schedule": {"t0_fraction": float},
-    "sampler": {"mu_s": float, "alpha": float, "i_0": float, "lambda_ig": float, "lambda_ng": float},
-    "reweight": {"beta": float, "gamma": float},
-    "train": {
-        "seed": int,
-        "method": str,
-        "scenes_per_epoch": int,
-        "epochs": int,
-        "batch_size": int,
-        "learning_rate": float,
-        "lr_decay": float,
-        "momentum": float,
-        "weight_decay": float,
-        "eval_scenes": int,
-        "eval_seed": int,
-        "nms_iou": float,
-        "score_floor": float,
-    },
+# The TrainConfig fields of every INI section but [data] and [train]. [data]
+# holds every SceneConfig field; [train] every TrainConfig field left over,
+# except iterations_override, which only the command line sets.
+_SECTIONS = {
+    "model": ("refinements", "init_scale"),
+    "schedule": ("t0_fraction",),
+    "sampler": ("mu_s", "alpha", "i_0", "lambda_ig", "lambda_ng"),
+    "reweight": ("beta", "gamma"),
 }
+
+
+def _build_schema() -> dict[str, dict[str, type]]:
+    """INI section -> key -> value type, the type being that of the field's default."""
+    rest = {f.name: type(f.default) for f in fields(TrainConfig) if f.name not in ("scene", "iterations_override")}
+    schema = {"data": {f.name: type(f.default) for f in fields(SceneConfig)}}
+    for section, keys in _SECTIONS.items():
+        schema[section] = {k: rest.pop(k) for k in keys}
+    schema["train"] = rest
+    return schema
+
+
+_SCHEMA = _build_schema()
 
 
 def load_config(path: str | Path) -> TrainConfig:
@@ -130,19 +113,11 @@ def _fmt_value(v) -> str:
 
 def resolved_config_text(config: TrainConfig) -> str:
     """Canonical INI echo of every key at its resolved value."""
-    values = {
-        "data": {k: getattr(config.scene, k) for k in _SCHEMA["data"]},
-        "model": {"refinements": config.refinements, "init_scale": config.init_scale},
-        "schedule": {"t0_fraction": config.t0_fraction},
-        "sampler": {k: getattr(config, k) for k in _SCHEMA["sampler"]},
-        "reweight": {"beta": config.beta, "gamma": config.gamma},
-        "train": {k: getattr(config, k) for k in _SCHEMA["train"]},
-    }
     lines = []
-    for section in _SCHEMA:
+    for section, keys in _SCHEMA.items():
+        source = config.scene if section == "data" else config
         lines.append(f"[{section}]")
-        for key in _SCHEMA[section]:
-            lines.append(f"{key} = {_fmt_value(values[section][key])}")
+        lines += [f"{key} = {_fmt_value(getattr(source, key))}" for key in keys]
         lines.append("")
     return "\n".join(lines)
 
@@ -176,10 +151,32 @@ def _run_cell(payload: tuple[TrainConfig, str, int]) -> tuple[str, int, float, f
     config, method, seed = payload
     cfg = replace(config, method=method, seed=seed)
     dataset = generate_dataset(cfg.scene, cfg.seed, cfg.scenes_per_epoch)
-    model, _ = train(cfg, dataset)
+    try:
+        model, _ = train(cfg, dataset)
+    except TrainingDivergence as exc:
+        raise TrainingDivergence(f"{method} seed {seed}: {exc}", exc.iteration, exc.snapshot) from exc
     eval_scenes = generate_dataset(cfg.scene, cfg.eval_seed, cfg.eval_scenes)
     report, _ = evaluate_scenes(model, eval_scenes, nms_iou=cfg.nms_iou, score_floor=cfg.score_floor)
     return method, seed, report.mean_ap, report.corloc
+
+
+def _load_model(path: str, config: TrainConfig) -> ToyModel:
+    """Read a saved model; it must parse and fit the config's data section."""
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigError(f"model file not found: {p}")
+    try:
+        model = ToyModel.from_json(p.read_text())
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"malformed model file {p}: {type(exc).__name__}: {exc}") from exc
+    num_classes, feature_dim = config.scene.num_classes, config.scene.feature_dim
+    fresh = ToyModel.initialize(num_classes, feature_dim, max(model.num_branches, 1), seed=0)
+    if [(n, a.shape) for n, a in model.param_items()] != [(n, a.shape) for n, a in fresh.param_items()]:
+        raise ConfigError(
+            f"model {p} parameter shapes do not fit config data section "
+            f"({num_classes} classes, {feature_dim} dims)"
+        )
+    return model
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -198,15 +195,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    model_path = Path(args.model)
-    if not model_path.is_file():
-        raise ConfigError(f"model file not found: {model_path}")
-    model = ToyModel.from_json(model_path.read_text())
-    if model.num_classes != config.scene.num_classes or model.feature_dim != config.scene.feature_dim:
-        raise ConfigError(
-            f"model shape ({model.num_classes} classes, {model.feature_dim} dims) does not match "
-            f"config data section ({config.scene.num_classes}, {config.scene.feature_dim})"
-        )
+    model = _load_model(args.model, config)
     dataset_seed = args.dataset_seed if args.dataset_seed is not None else config.eval_seed
     scenes = generate_dataset(config.scene, dataset_seed, config.eval_scenes)
     report, records = evaluate_scenes(model, scenes, nms_iou=config.nms_iou, score_floor=config.score_floor)
@@ -283,7 +272,7 @@ def cmd_sample_demo(args: argparse.Namespace) -> int:
     dataset = generate_dataset(config.scene, config.seed, 1)
     scene = dataset[0]
     if args.model is not None:
-        model = ToyModel.from_json(Path(args.model).read_text())
+        model = _load_model(args.model, config)
     else:
         model = ToyModel.initialize(
             config.scene.num_classes, config.scene.feature_dim, config.refinements, config.seed, config.init_scale
@@ -291,33 +280,25 @@ def cmd_sample_demo(args: argparse.Namespace) -> int:
     scores = forward(model, scene)
     print(f"scene {scene.scene_id}, iteration {iteration}: T={schedule.t_progress:.4f} "
           f"mu={schedule.mu:.4f} I_t={schedule.neglect:.4f}")
+    width = (schedule.lambda_ng - schedule.lambda_ig) / schedule.n_bins
     for branch in range(1, model.num_branches + 1):
-        phi_prev = scores.phi_prev(branch)
-        centers = select_cluster_centers(phi_prev, scene.image_label)
-        targets, assignment = assign_labels(centers, scene.proposals, phi_prev, schedule.lambda_ig, schedule.lambda_ng)
+        # The trace is of the sampler, so run the pipeline with instance
+        # balance on whatever [train] method says.
+        sup = build_branch_supervision(scene, scores, branch, schedule, "pib_only", config.seed, iteration)
         print(f"branch {branch}:")
-        for c in sorted(centers):
-            pos_c = assignment.positives[c]
-            neg_c = assignment.negatives[c]
-            if pos_c.size == 0:
+        for c, rec in sup.balance.items():
+            detail = rec.detail
+            if rec.outcome == "absorbed":
                 print(f"  class {c}: center absorbed by a lower class, skipped")
-                continue
-            if neg_c.size == 0:
-                kept = "center only" if float(phi_prev[c - 1, pos_c].sum()) < schedule.neglect else "all positives"
-                print(f"  class {c}: n_pos={pos_c.size} n_neg=0 -> neglect rule keeps {kept}")
-                continue
-            rng = SamplerRng(config.seed, scene.scene_id, iteration, branch, c).generator()
-            detail = sample_negatives_detail(
-                neg_c, targets.max_iou[neg_c], int(pos_c.size), schedule.mu,
-                schedule.lambda_ig, schedule.lambda_ng, rng, schedule.n_bins,
-            )
-            print(f"  class {c}: n_pos={pos_c.size} n_neg={neg_c.size} target={detail.target}")
-            width = (schedule.lambda_ng - schedule.lambda_ig) / schedule.n_bins
-            for j, (members, picked) in enumerate(zip(detail.bin_members, detail.stage1)):
-                lo = schedule.lambda_ig + j * width
-                print(f"    bin [{lo:.3f},{lo + width:.3f}): {members.size} negatives, stage-1 selected {picked.size}")
-            print(f"    stage-2 top-up: {detail.stage2.size}")
-            print(f"    selected |N'| = {detail.selected.size}")
+            elif detail is None:
+                print(f"  class {c}: n_pos={rec.n_pos} n_neg=0 -> neglect rule keeps {rec.outcome}")
+            else:
+                print(f"  class {c}: n_pos={rec.n_pos} n_neg={rec.n_neg} target={detail.target}")
+                for j, (members, picked) in enumerate(zip(detail.bin_members, detail.stage1)):
+                    lo = schedule.lambda_ig + j * width
+                    print(f"    bin [{lo:.3f},{lo + width:.3f}): {members.size} negatives, stage-1 selected {picked.size}")
+                print(f"    stage-2 top-up: {detail.stage2.size}")
+                print(f"    selected |N'| = {detail.selected.size}")
     return EXIT_OK
 
 
@@ -376,3 +357,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

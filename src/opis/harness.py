@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .geometry import pairwise_iou
 from .losses import refinement_loss, refinement_loss_grad, total_loss, zeta
 from .midn import (
     ScoreSet,
@@ -31,11 +32,12 @@ from .midn import (
 )
 from .reweighting import reweight_branch
 from .sampling import (
+    NegativeSampleDetail,
     SamplerRng,
     ScheduleState,
     apply_selection_mask,
     reselect_positives,
-    sample_negatives,
+    sample_negatives_detail,
 )
 from .supervision import SupervisionTargets, assign_labels, select_cluster_centers
 
@@ -48,6 +50,7 @@ __all__ = [
     "TrainLog",
     "IterationRecord",
     "BranchSupervision",
+    "ClassBalance",
     "TrainingDivergence",
     "class_prototypes",
     "generate_scene",
@@ -75,6 +78,11 @@ class TrainingDivergence(RuntimeError):
         super().__init__(message)
         self.iteration = iteration
         self.snapshot = snapshot or {}
+
+    def __reduce__(self):
+        # Rebuild from the constructor's arguments, not ``args``, so the error
+        # survives the trip back from a worker process.
+        return type(self), (str(self), self.iteration, self.snapshot)
 
 
 @dataclass(frozen=True)
@@ -166,15 +174,6 @@ def _clutter_proposals(config: SceneConfig, rng: np.random.Generator, count: int
     return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
 
 
-def _pairwise_iou_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    return inter / (area_a[:, None] + area_b[None, :] - inter)
-
-
 def generate_scene(config: SceneConfig, rng: np.random.Generator, scene_id: int = 0) -> Scene:
     """Sample one scene; proposal sets are redrawn until every ground-truth
     object is covered by at least one proposal at the configured IoU."""
@@ -191,7 +190,7 @@ def generate_scene(config: SceneConfig, rng: np.random.Generator, scene_id: int 
         if n_clutter:
             parts.append(_clutter_proposals(config, rng, n_clutter))
         proposals = np.concatenate(parts, axis=0)
-        overlap = _pairwise_iou_arrays(proposals, gt_boxes)
+        overlap = pairwise_iou(proposals, gt_boxes)
         if np.all(overlap.max(axis=0) >= config.coverage_iou):
             break
     else:
@@ -338,14 +337,35 @@ def forward(model: ToyModel, scene: Scene) -> ScoreSet:
 
 
 @dataclass
+class ClassBalance:
+    """What progressive instance balance did with one present class.
+
+    ``outcome`` is "absorbed" (a lower class's identical center took all of
+    this class's proposals), "center only" or "all positives" (the class had
+    no negatives, so the neglect rule decided), or "sampled", in which case
+    ``detail`` traces the negative sampler.
+    """
+
+    n_pos: int
+    n_neg: int
+    outcome: str
+    detail: NegativeSampleDetail | None = None
+
+
+@dataclass
 class BranchSupervision:
-    """Supervision for one branch of one scene, plus sampling bookkeeping."""
+    """Supervision for one branch of one scene, plus sampling bookkeeping.
+
+    ``balance`` maps each present class id, in ascending order, to what
+    instance balance did with it; it is empty when balance is inactive.
+    """
 
     targets: SupervisionTargets
     zeta: float
     pos_selected: int
     neg_before: int
     neg_after: int
+    balance: dict[int, ClassBalance] = field(default_factory=dict)
 
 
 def _pir_mode(method: str, phase: str) -> str | None:
@@ -375,6 +395,7 @@ def build_branch_supervision(
     neg_after = neg_before
     zeta_k = 1.0
 
+    balance: dict[int, ClassBalance] = {}
     pib_active = schedule.phase == "finetune" and method in ("pib_only", "opis")
     if pib_active:
         kept_pos: list[np.ndarray] = []
@@ -385,24 +406,28 @@ def build_branch_supervision(
             if pos_c.size == 0:
                 # Another class's identical center box absorbed this class's
                 # proposals; there is nothing to balance.
+                balance[c] = ClassBalance(0, int(neg_c.size), "absorbed")
                 continue
             if neg_c.size > 0:
                 rng = SamplerRng(seed, scene.scene_id, iteration, branch, c).generator()
-                kept_neg.append(
-                    sample_negatives(
-                        neg_c,
-                        targets.max_iou[neg_c],
-                        pos_c.size,
-                        schedule.mu,
-                        schedule.lambda_ig,
-                        schedule.lambda_ng,
-                        rng,
-                        schedule.n_bins,
-                    )
+                detail = sample_negatives_detail(
+                    neg_c,
+                    targets.max_iou[neg_c],
+                    pos_c.size,
+                    schedule.mu,
+                    schedule.lambda_ig,
+                    schedule.lambda_ng,
+                    rng,
+                    schedule.n_bins,
                 )
+                balance[c] = ClassBalance(int(pos_c.size), int(neg_c.size), "sampled", detail)
+                kept_neg.append(detail.selected)
                 kept_pos.append(pos_c)
             else:
-                kept_pos.append(reselect_positives(pos_c, phi_prev, c, centers[c], schedule.neglect))
+                kept = reselect_positives(pos_c, phi_prev, c, centers[c], schedule.neglect)
+                # The rule returns pos_c itself unless it fires.
+                balance[c] = ClassBalance(int(pos_c.size), 0, "all positives" if kept is pos_c else "center only")
+                kept_pos.append(kept)
         sel_pos = np.concatenate(kept_pos) if kept_pos else np.empty(0, dtype=np.int64)
         sel_neg = np.concatenate(kept_neg) if kept_neg else np.empty(0, dtype=np.int64)
         targets = apply_selection_mask(targets, sel_pos, sel_neg)
@@ -422,6 +447,7 @@ def build_branch_supervision(
         pos_selected=pos_selected,
         neg_before=neg_before,
         neg_after=neg_after,
+        balance=balance,
     )
 
 
@@ -517,6 +543,9 @@ class TrainConfig:
             raise ValueError("need at least one refinement branch")
         if self.iterations_override is not None and self.iterations_override < 2:
             raise ValueError("iterations_override must be >= 2")
+        # ScheduleState declares the sampler and reweighting bounds; build one
+        # so a bad value fails here rather than mid-training.
+        self.schedule(0)
 
     @property
     def total_iterations(self) -> int:

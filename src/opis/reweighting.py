@@ -9,6 +9,7 @@ are never touched.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -56,16 +57,17 @@ def reweight_branch(
     """Reweight every selected positive of one branch; all else is untouched.
 
     The stored weight of a selected positive is exactly the source center's
-    previous-branch score, so the boost factor multiplies it in place.
+    previous-branch score, so the boost factor multiplies it. Only ``weight``
+    is copied; the input is not mutated.
     """
     phi = np.asarray(phi_k, dtype=np.float64)
     pos = np.flatnonzero(targets.selected & (targets.assigned_class >= 1) & (targets.assigned_class <= targets.num_classes))
-    out = targets.copy()
     if pos.size == 0:
-        return out
+        return targets
     own_scores = phi[targets.assigned_class[pos] - 1, pos]
     factor = schedule.beta * np.exp(own_scores) + (1.0 - schedule.beta) * np.exp(targets.max_iou[pos])
     if attenuated:
         factor = factor * math.exp(-schedule.gamma * schedule.t_progress)
-    out.weight[pos] = factor * targets.weight[pos]
-    return out
+    weight = targets.weight.copy()
+    weight[pos] = factor * targets.weight[pos]
+    return replace(targets, weight=weight)

@@ -8,7 +8,7 @@ first and topped up uniformly at random, all without replacement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,7 +91,9 @@ class ScheduleState:
         if self.mu_s < 4:
             raise ValueError(f"mu_s must be >= 4, got {self.mu_s}")
         if not 0.0 <= self.lambda_ig < self.lambda_ng <= 1.0:
-            raise ValueError(f"bad thresholds ({self.lambda_ig}, {self.lambda_ng})")
+            raise ValueError(
+                f"need 0 <= lambda_ig < lambda_ng <= 1, got lambda_ig={self.lambda_ig}, lambda_ng={self.lambda_ng}"
+            )
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
         if self.gamma < 0.0:
@@ -222,7 +224,7 @@ def reselect_positives(
 
     When the class's positive score mass (center included) falls below the
     threshold, only the cluster center survives; otherwise the set is returned
-    unchanged. The center is never removed.
+    as is (the same object for an int64 array). The center is never removed.
     """
     pos_indices = np.asarray(pos_indices, dtype=np.int64)
     if center not in pos_indices:
@@ -240,13 +242,10 @@ def apply_selection_mask(
 ) -> SupervisionTargets:
     """Zero the weight of every labeled proposal outside the selected sets.
 
-    Labels, IoUs, and source classes are preserved; kept proposals keep their
-    weight bit-for-bit.
+    Labels, IoUs, and source classes are shared with the input, which is not
+    mutated; kept proposals keep their weight bit-for-bit.
     """
     keep = np.zeros(targets.num_proposals, dtype=bool)
     keep[np.asarray(selected_pos, dtype=np.int64)] = True
     keep[np.asarray(selected_neg, dtype=np.int64)] = True
-    out = targets.copy()
-    out.selected = keep
-    out.weight = np.where(keep, targets.weight, 0.0)
-    return out
+    return replace(targets, selected=keep, weight=np.where(keep, targets.weight, 0.0))

@@ -53,16 +53,6 @@ class SupervisionTargets:
         y[self.assigned_class[labeled] - 1, labeled] = 1.0
         return y
 
-    def copy(self) -> "SupervisionTargets":
-        return SupervisionTargets(
-            assigned_class=self.assigned_class.copy(),
-            max_iou=self.max_iou.copy(),
-            source_class=self.source_class.copy(),
-            weight=self.weight.copy(),
-            selected=self.selected.copy(),
-            num_classes=self.num_classes,
-        )
-
 
 @dataclass
 class ClusterAssignment:
@@ -75,12 +65,6 @@ class ClusterAssignment:
     centers: dict[int, int]
     positives: dict[int, np.ndarray]
     negatives: dict[int, np.ndarray]
-
-    def num_positives(self, class_id: int) -> int:
-        return int(self.positives[class_id].size)
-
-    def num_negatives(self, class_id: int) -> int:
-        return int(self.negatives[class_id].size)
 
 
 def select_cluster_centers(phi_prev: np.ndarray, image_label: np.ndarray) -> dict[int, int]:

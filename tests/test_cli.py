@@ -2,9 +2,14 @@
 outputs, and the sampler trace."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import opis
 from opis.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, ConfigError, load_config, main
 
 SMALL_CONFIG = """\
@@ -114,6 +119,26 @@ class TestTrainCommand:
         rc = main(["train", "--config", str(p), "--out", str(tmp_path / "o"), "--iterations-override", "300"])
         assert rc == EXIT_NUMERIC
 
+    @pytest.mark.parametrize("key,value", [("mu_s", "2"), ("lambda_ig", "0.6")])
+    def test_schedule_bounds_exit_2_naming_key(self, key, value, tmp_path, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text(SMALL_CONFIG + f"\n[sampler]\n{key} = {value}\n")
+        rc = main(["train", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_module_entry_point_runs(self, config_path, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(opis.__file__).parents[1]))
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-m", "opis.cli", "train", "--config", str(config_path), "--out", str(out),
+             "--iterations-override", "4"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert len((out / "trainlog.csv").read_text().splitlines()) == 1 + 4
+
 
 class TestEvalCommand:
     def test_eval_after_train(self, config_path, tmp_path):
@@ -149,6 +174,28 @@ class TestEvalCommand:
         assert rc == EXIT_CONFIG
 
 
+BAD_MODELS = {
+    "missing": None,
+    "not_json": "{params",
+    "no_params": "{}",
+    # A model for a 4-class world against the 3-class config.
+    "wrong_classes": opis.ToyModel.initialize(4, 8, 2, seed=0).to_json(),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "sample-demo"])
+@pytest.mark.parametrize("case", sorted(BAD_MODELS))
+def test_bad_model_file_exits_2_naming_it(command, case, config_path, tmp_path, capsys):
+    path = tmp_path / f"{case}.json"
+    if BAD_MODELS[case] is not None:
+        path.write_text(BAD_MODELS[case])
+    args = ["--model", str(path), "--config", str(config_path)]
+    args += ["--out", str(tmp_path / "e")] if command == "eval" else []
+    rc = main([command] + args)
+    assert rc == EXIT_CONFIG
+    assert str(path) in capsys.readouterr().err
+
+
 class TestCompareCommand:
     def test_grid_csv_with_medians(self, config_path, tmp_path):
         out = tmp_path / "cmp"
@@ -169,6 +216,19 @@ class TestCompareCommand:
             assert 0.0 <= float(parts[2]) <= 1.0
             assert 0.0 <= float(parts[3]) <= 1.0
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_parallel_divergence_exits_3_naming_cell(self, tmp_path, capsys, monkeypatch):
+        p = tmp_path / "diverge.ini"
+        p.write_text(SMALL_CONFIG.replace("learning_rate = 0.3", "learning_rate = 1e9"))
+        monkeypatch.setenv("OPIS_THREADS", "2")
+        rc = main([
+            "compare", "--config", str(p), "--out", str(tmp_path / "c"),
+            "--methods", "baseline,opis", "--seeds", "0", "--iterations-override", "300",
+        ])
+        assert rc == EXIT_NUMERIC
+        # Results are read in grid order, so the first diverging cell is reported.
+        assert "baseline seed 0" in capsys.readouterr().err
+
     def test_unknown_method_exits_2(self, config_path, tmp_path, capsys):
         rc = main([
             "compare", "--config", str(config_path), "--out", str(tmp_path / "c"),
@@ -185,6 +245,9 @@ class TestGradcheckCommand:
         assert "max relative gradient error" in capsys.readouterr().out
 
 
+DEMO_GOLDENS = Path(__file__).parent / "data" / "sample_demo"
+
+
 class TestSampleDemoCommand:
     def test_trace_output(self, config_path, capsys):
         rc = main(["sample-demo", "--config", str(config_path)])
@@ -198,3 +261,16 @@ class TestSampleDemoCommand:
         rc = main(["sample-demo", "--config", str(config_path), "--iteration", "0"])
         assert rc == EXIT_CONFIG
         assert "fine-tuning range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,config_text,seed", [
+        ("small_seed0", SMALL_CONFIG, "0"),  # neglect rule keeps the center only
+        ("small_seed24", SMALL_CONFIG, "24"),  # an absorbed center
+        ("defaults_seed0", "[train]\n", "0"),  # a nonzero stage-2 top-up
+        ("early_t0_seed1", "[schedule]\nt0_fraction = 0.05\n", "1"),  # neglect rule keeps all positives
+    ])
+    def test_sample_demo_stdout_pinned(self, name, config_text, seed, tmp_path, capsys):
+        p = tmp_path / "demo.ini"
+        p.write_text(config_text)
+        rc = main(["sample-demo", "--config", str(p), "--seed", seed])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out == (DEMO_GOLDENS / f"{name}.txt").read_text()

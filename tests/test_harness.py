@@ -1,6 +1,8 @@
 """Synthetic world and training loop: determinism, phase continuity, method
 routing, and analytic-vs-numeric gradient agreement."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,14 @@ class TestTraining:
         with pytest.raises(ValueError):
             train(small_train_config(), [])
 
+    def test_divergence_pickle_round_trip(self):
+        exc = TrainingDivergence("non-finite loss at iteration 7", 7, snapshot={"loss_midn": float("inf")})
+        clone = pickle.loads(pickle.dumps(exc))
+        assert type(clone) is TrainingDivergence
+        assert str(clone) == "non-finite loss at iteration 7"
+        assert clone.iteration == 7
+        assert clone.snapshot == {"loss_midn": float("inf")}
+
 
 class TestGradientFidelity:
     def schedule(self, phase):
@@ -299,6 +309,34 @@ class TestBranchSupervisionPipeline:
         assert sup.neg_after <= sup.neg_before
         n_selected = int(np.count_nonzero(sup.targets.selected))
         assert sup.zeta == pytest.approx(scene.num_proposals / n_selected)
+
+    def test_balance_record_agrees_with_selection(self):
+        cfg = SceneConfig(num_classes=3, feature_dim=8, num_proposals=40, clutter_rate=0.3)
+        sched = ScheduleState(t_n=120, t_0=100, t_1=200)
+        outcomes = set()
+        for seed in range(30):
+            scene = generate_scene(cfg, rng_for(seed, 1, 0))
+            scores = forward(ToyModel.initialize(3, 8, 2, seed=seed, init_scale=2.0), scene)
+            for branch in (1, 2):
+                sup = build_branch_supervision(scene, scores, branch, sched, "pib_only", seed, 120)
+                centers = np.flatnonzero(scene.image_label) + 1
+                assert list(sup.balance) == centers.tolist()
+                sampled = [r for r in sup.balance.values() if r.outcome == "sampled"]
+                assert sum(r.detail.selected.size for r in sampled) == sup.neg_after
+                kept_pos = {"sampled": lambda r: r.n_pos, "all positives": lambda r: r.n_pos,
+                            "center only": lambda r: 1, "absorbed": lambda r: 0}
+                assert sum(kept_pos[r.outcome](r) for r in sup.balance.values()) == sup.pos_selected
+                assert all((r.detail is None) == (r.outcome != "sampled") for r in sup.balance.values())
+                outcomes.update(r.outcome for r in sup.balance.values())
+        assert outcomes == {"sampled", "center only", "all positives", "absorbed"}
+
+    def test_balance_empty_outside_pib(self):
+        scene = generate_scene(SMALL_SCENE, rng_for(4, 1, 0))
+        scores = forward(ToyModel.initialize(3, 8, 2, seed=4), scene)
+        finetune = ScheduleState(t_n=120, t_0=100, t_1=200)
+        assert build_branch_supervision(scene, scores, 1, finetune, "pir_only", 4, 120).balance == {}
+        normal = ScheduleState(t_n=50, t_0=100, t_1=200)
+        assert build_branch_supervision(scene, scores, 1, normal, "opis", 4, 50).balance == {}
 
     def test_model_roundtrip_json(self):
         model = ToyModel.initialize(3, 8, 2, seed=8, init_scale=0.3)
