@@ -28,11 +28,11 @@ from .harness import (
     ToyModel,
     TrainConfig,
     TrainingDivergence,
-    build_branch_supervision,
     finite_diff_check,
     forward,
     generate_dataset,
     generate_scene,
+    supervise_scene,
     train,
 )
 from .sampling import ScheduleState
@@ -281,12 +281,12 @@ def cmd_sample_demo(args: argparse.Namespace) -> int:
     print(f"scene {scene.scene_id}, iteration {iteration}: T={schedule.t_progress:.4f} "
           f"mu={schedule.mu:.4f} I_t={schedule.neglect:.4f}")
     width = (schedule.lambda_ng - schedule.lambda_ig) / schedule.n_bins
-    for branch in range(1, model.num_branches + 1):
-        # The trace is of the sampler, so run the pipeline with instance
-        # balance on whatever [train] method says.
-        sup = build_branch_supervision(scene, scores, branch, schedule, "pib_only", config.seed, iteration)
+    # The trace is of the sampler, so run the pipeline with instance balance
+    # on whatever [train] method says.
+    sup = supervise_scene(scene, scores, schedule, "pib_only", config.seed, iteration)
+    for branch, branch_balance in enumerate(sup.balance, start=1):
         print(f"branch {branch}:")
-        for c, rec in sup.balance.items():
+        for c, rec in branch_balance.items():
             detail = rec.detail
             if rec.outcome == "absorbed":
                 print(f"  class {c}: center absorbed by a lower class, skipped")

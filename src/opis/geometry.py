@@ -16,7 +16,7 @@ import numpy as np
 __all__ = ["BBox", "ScoredBox", "iou", "pairwise_iou", "nms", "nms_indices"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BBox:
     """Axis-aligned rectangle with strictly positive area."""
 
@@ -40,7 +40,7 @@ class BBox:
         return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredBox:
     """A detection: box, confidence in [0, 1], and 1-based class id."""
 
@@ -76,17 +76,21 @@ def iou(a: BBox, b: BBox) -> float:
 def pairwise_iou(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """IoU matrix between two (N, 4) / (M, 4) box arrays, shape (N, M).
 
-    Rows must already satisfy x2 > x1 and y2 > y1.
+    Rows must already satisfy x2 > x1 and y2 > y1. Entry (i, j) is bitwise
+    the same as entry (j, i) of the swapped call; the loops run along M, so
+    put the longer set second.
     """
-    a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)
-    b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)
-    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    return inter / union
+    # Coordinate-major: a is (4, N, 1), b is (4, 1, M) with M contiguous.
+    a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4).T[:, :, None]
+    b = np.ascontiguousarray(np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4).T)[:, None, :]
+    extent = np.minimum(a[2:], b[2:]) - np.maximum(a[:2], b[:2])  # (2, N, M) overlap width, height
+    # x - x is +0.0, so clamping with maximum keeps the sign of every zero.
+    np.maximum(extent, 0.0, out=extent)
+    inter = np.multiply(extent[0], extent[1])
+    size_a = a[2:] - a[:2]
+    size_b = b[2:] - b[:2]
+    union = size_a[0] * size_a[1] + size_b[0] * size_b[1] - inter
+    return np.divide(inter, union, out=inter)
 
 
 def nms_indices(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float) -> np.ndarray:

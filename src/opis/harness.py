@@ -19,27 +19,18 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import pairwise_iou
-from .losses import refinement_loss, refinement_loss_grad, total_loss, zeta
-from .midn import (
-    ScoreSet,
-    compose_instance_scores,
-    image_scores,
-    midn_loss,
-    midn_loss_grad,
-    phi0_from_instance_scores,
-    softmax_over_classes,
-    softmax_over_instances,
-)
+from .losses import refinement_grads, refinement_losses, total_loss, zeta
+from .midn import ScoreSet, image_scores, midn_loss, midn_loss_grad, softmax
 from .reweighting import reweight_branch
 from .sampling import (
     NegativeSampleDetail,
     SamplerRng,
     ScheduleState,
-    apply_selection_mask,
+    keep_selected,
     reselect_positives,
     sample_negatives_detail,
 )
-from .supervision import SupervisionTargets, assign_labels, select_cluster_centers
+from .supervision import SupervisionTargets, assign_branches, cluster_center_indices
 
 __all__ = [
     "METHODS",
@@ -50,12 +41,14 @@ __all__ = [
     "TrainLog",
     "IterationRecord",
     "BranchSupervision",
+    "SceneSupervision",
     "ClassBalance",
     "TrainingDivergence",
     "class_prototypes",
     "generate_scene",
     "generate_dataset",
     "forward",
+    "supervise_scene",
     "build_branch_supervision",
     "scene_pass",
     "train",
@@ -190,7 +183,7 @@ def generate_scene(config: SceneConfig, rng: np.random.Generator, scene_id: int 
         if n_clutter:
             parts.append(_clutter_proposals(config, rng, n_clutter))
         proposals = np.concatenate(parts, axis=0)
-        overlap = pairwise_iou(proposals, gt_boxes)
+        overlap = pairwise_iou(gt_boxes, proposals).T
         if np.all(overlap.max(axis=0) >= config.coverage_iou):
             break
     else:
@@ -224,28 +217,81 @@ def generate_dataset(config: SceneConfig, seed: int, count: int) -> list[Scene]:
     return scenes
 
 
-@dataclass
 class ToyModel:
-    """Linear scoring heads: two MIDN streams plus K refinement classifiers."""
+    """Linear scoring heads: two MIDN streams plus K refinement classifiers.
 
-    w_cls: np.ndarray
-    b_cls: np.ndarray
-    w_det: np.ndarray
-    b_det: np.ndarray
-    w_ref: list[np.ndarray]
-    b_ref: list[np.ndarray]
+    Every parameter lives in one flat buffer, ``flat``: the weight rows of all
+    heads (classification C, detection C, then C+1 per refinement branch) as
+    one (R, D) matrix ``weights``, then their biases as one (R,) vector
+    ``biases``. The named heads (``w_cls``, ``b_ref``, ...) are views into it,
+    so a forward pass is one matmul and an optimizer step a few whole-buffer
+    operations. The same layout carries gradients.
+    """
+
+    def __init__(
+        self,
+        w_cls: np.ndarray,
+        b_cls: np.ndarray,
+        w_det: np.ndarray,
+        b_det: np.ndarray,
+        w_ref: Sequence[np.ndarray],
+        b_ref: Sequence[np.ndarray],
+    ) -> None:
+        num_classes, feature_dim = np.shape(w_cls)
+        self._bind(np.empty(self.flat_size(num_classes, feature_dim, len(w_ref))),
+                   num_classes, feature_dim, len(w_ref))
+        sources = [w_cls, b_cls, w_det, b_det] + [a for pair in zip(w_ref, b_ref) for a in pair]
+        for (name, view), src in zip(self.param_items(), sources):
+            if np.shape(src) != view.shape:
+                raise ValueError(f"{name} has shape {np.shape(src)}, expected {view.shape}")
+            view[...] = src
+
+    @staticmethod
+    def flat_size(num_classes: int, feature_dim: int, num_branches: int) -> int:
+        rows = 2 * num_classes + num_branches * (num_classes + 1)
+        return rows * (feature_dim + 1)
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, num_classes: int, feature_dim: int, num_branches: int) -> "ToyModel":
+        """Named views into ``flat`` (not copied)."""
+        model = cls.__new__(cls)
+        model._bind(flat, num_classes, feature_dim, num_branches)
+        return model
+
+    def _bind(self, flat: np.ndarray, num_classes: int, feature_dim: int, num_branches: int) -> None:
+        rows = flat.size // (feature_dim + 1)
+        self.num_classes, self.feature_dim, self.num_branches = num_classes, feature_dim, num_branches
+        self.flat = flat
+        self.weights = flat[: rows * feature_dim].reshape(rows, feature_dim)
+        self.biases = flat[rows * feature_dim :]
+
+    def _ref_rows(self, k: int) -> slice:
+        c = self.num_classes
+        return slice(2 * c + k * (c + 1), 2 * c + (k + 1) * (c + 1))
 
     @property
-    def num_classes(self) -> int:
-        return self.w_cls.shape[0]
+    def w_cls(self) -> np.ndarray:
+        return self.weights[: self.num_classes]
 
     @property
-    def feature_dim(self) -> int:
-        return self.w_cls.shape[1]
+    def b_cls(self) -> np.ndarray:
+        return self.biases[: self.num_classes]
 
     @property
-    def num_branches(self) -> int:
-        return len(self.w_ref)
+    def w_det(self) -> np.ndarray:
+        return self.weights[self.num_classes : 2 * self.num_classes]
+
+    @property
+    def b_det(self) -> np.ndarray:
+        return self.biases[self.num_classes : 2 * self.num_classes]
+
+    @property
+    def w_ref(self) -> list[np.ndarray]:
+        return [self.weights[self._ref_rows(k)] for k in range(self.num_branches)]
+
+    @property
+    def b_ref(self) -> list[np.ndarray]:
+        return [self.biases[self._ref_rows(k)] for k in range(self.num_branches)]
 
     @classmethod
     def initialize(
@@ -258,17 +304,12 @@ class ToyModel:
     ) -> "ToyModel":
         if num_branches < 1:
             raise ValueError("need at least one refinement branch")
+        model = cls.from_flat(np.zeros(cls.flat_size(num_classes, feature_dim, num_branches)),
+                              num_classes, feature_dim, num_branches)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_TAG_MODEL,)))
-        def mat(rows: int) -> np.ndarray:
-            return rng.normal(size=(rows, feature_dim)) * init_scale
-        return cls(
-            w_cls=mat(num_classes),
-            b_cls=np.zeros(num_classes),
-            w_det=mat(num_classes),
-            b_det=np.zeros(num_classes),
-            w_ref=[mat(num_classes + 1) for _ in range(num_branches)],
-            b_ref=[np.zeros(num_classes + 1) for _ in range(num_branches)],
-        )
+        for w in [model.w_cls, model.w_det, *model.w_ref]:
+            w[...] = rng.normal(size=w.shape) * init_scale
+        return model
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
         items = [("w_cls", self.w_cls), ("b_cls", self.b_cls), ("w_det", self.w_det), ("b_det", self.b_det)]
@@ -277,18 +318,15 @@ class ToyModel:
             items.append((f"b_ref_{k + 1}", self.b_ref[k]))
         return items
 
+    def __getitem__(self, name: str) -> np.ndarray:
+        """The parameter array named as in ``param_items``."""
+        return dict(self.param_items())[name]
+
     def copy(self) -> "ToyModel":
-        return ToyModel(
-            w_cls=self.w_cls.copy(),
-            b_cls=self.b_cls.copy(),
-            w_det=self.w_det.copy(),
-            b_det=self.b_det.copy(),
-            w_ref=[w.copy() for w in self.w_ref],
-            b_ref=[b.copy() for b in self.b_ref],
-        )
+        return ToyModel.from_flat(self.flat.copy(), self.num_classes, self.feature_dim, self.num_branches)
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for _, a in self.param_items())
+        return bool(np.isfinite(self.flat).all())
 
     def to_json(self) -> str:
         payload = {
@@ -316,24 +354,19 @@ class ToyModel:
 
 def forward(model: ToyModel, scene: Scene) -> ScoreSet:
     """Score every proposal with every head and compose the MIDN streams."""
-    ft = scene.features.T
-    x_cls = model.w_cls @ ft + model.b_cls[:, None]
-    x_det = model.w_det @ ft + model.b_det[:, None]
-    sc = softmax_over_classes(x_cls)
-    sd = softmax_over_instances(x_det)
-    x_r = compose_instance_scores(sc, sd)
-    ref_logits = [w @ ft + b[:, None] for w, b in zip(model.w_ref, model.b_ref)]
-    phi = [softmax_over_classes(z) for z in ref_logits]
-    return ScoreSet(
-        x_cls=x_cls,
-        x_det=x_det,
-        class_probs=sc,
-        det_probs=sd,
-        x_r=x_r,
-        phi0=phi0_from_instance_scores(x_r),
-        phi=phi,
-        ref_logits=ref_logits,
-    )
+    c, k, p = model.num_classes, model.num_branches, scene.num_proposals
+    logits = model.weights @ scene.features.T + model.biases[:, None]
+    if not np.isfinite(logits).all():
+        raise ValueError("logits contains non-finite entries")
+    x_cls, x_det = logits[:c], logits[c : 2 * c]
+    ref_logits = logits[2 * c :].reshape(k, c + 1, p)
+    sc = softmax(x_cls, axis=0)
+    sd = softmax(x_det, axis=1)
+    phis = np.empty((k + 1, c + 1, p))
+    x_r = np.multiply(sc, sd, out=phis[0, :c])
+    phis[0, c] = 0.0
+    softmax(ref_logits, axis=1, out=phis[1:])
+    return ScoreSet(x_cls=x_cls, x_det=x_det, class_probs=sc, det_probs=sd, x_r=x_r, phis=phis, ref_logits=ref_logits)
 
 
 @dataclass
@@ -368,12 +401,134 @@ class BranchSupervision:
     balance: dict[int, ClassBalance] = field(default_factory=dict)
 
 
+@dataclass
+class SceneSupervision(Sequence[BranchSupervision]):
+    """Supervision for all K branches of one scene, as (K, ...) arrays.
+
+    Item k-1 is branch k's ``BranchSupervision``, whose targets are views of
+    row k-1 of the stack.
+    """
+
+    targets: SupervisionTargets  # (K, P)
+    zeta: np.ndarray  # (K,)
+    pos_selected: np.ndarray  # (K,)
+    neg_before: np.ndarray  # (K,)
+    neg_after: np.ndarray  # (K,)
+    balance: list[dict[int, ClassBalance]]
+
+    def __len__(self) -> int:
+        return self.zeta.shape[0]
+
+    def __getitem__(self, k: int) -> BranchSupervision:
+        return BranchSupervision(
+            targets=self.targets.branch(k),
+            zeta=float(self.zeta[k]),
+            pos_selected=int(self.pos_selected[k]),
+            neg_before=int(self.neg_before[k]),
+            neg_after=int(self.neg_after[k]),
+            balance=self.balance[k],
+        )
+
+    @classmethod
+    def stack(cls, branches: Sequence[BranchSupervision]) -> "SceneSupervision":
+        if isinstance(branches, SceneSupervision):
+            return branches
+        t = [b.targets for b in branches]
+        targets = SupervisionTargets(
+            *[np.stack([getattr(x, name) for x in t])
+              for name in ("assigned_class", "max_iou", "source_class", "weight", "selected")],
+            num_classes=t[0].num_classes,
+        )
+        return cls(
+            targets=targets,
+            zeta=np.array([b.zeta for b in branches]),
+            pos_selected=np.array([b.pos_selected for b in branches]),
+            neg_before=np.array([b.neg_before for b in branches]),
+            neg_after=np.array([b.neg_after for b in branches]),
+            balance=[b.balance for b in branches],
+        )
+
+
 def _pir_mode(method: str, phase: str) -> str | None:
     if method == "pir_only":
         return "normal"
     if method == "opis":
         return "attenuated" if phase == "finetune" else "normal"
     return None
+
+
+def supervise_scene(
+    scene: Scene,
+    scores: ScoreSet,
+    schedule: ScheduleState,
+    method: str,
+    seed: int,
+    iteration: int,
+) -> SceneSupervision:
+    """Full supervision pipeline for all branches of one scene: assignment,
+    progressive instance balance when active, then positive reweighting when
+    active.
+
+    Branch k is supervised by ``scores.phis[k-1]``. Only the negative sampler
+    runs per (branch, class), each on its own ``SamplerRng`` stream.
+    """
+    supervisors = scores.supervisors
+    num_branches, num_proposals = supervisors.shape[0], scene.num_proposals
+    classes, centers = cluster_center_indices(supervisors, scene.image_label)
+    targets = assign_branches(classes, centers, scene.proposals, supervisors, schedule.lambda_ig, schedule.lambda_ng)
+    background = targets.num_classes + 1
+    negative = targets.assigned_class == background
+    neg_before = np.count_nonzero(negative, axis=1)
+    neg_after = neg_before
+    zetas = np.ones(num_branches)
+
+    balance: list[dict[int, ClassBalance]] = [{} for _ in range(num_branches)]
+    if schedule.phase == "finetune" and method in ("pib_only", "opis"):
+        mu, neglect = schedule.mu, schedule.neglect
+        keep = np.zeros(targets.assigned_class.shape, dtype=bool)
+        neg_after = [0] * num_branches
+        neg_source = np.where(negative, targets.source_class, 0)
+        for k in range(num_branches):
+            assigned, sources, keep_k = targets.assigned_class[k], neg_source[k], keep[k]
+            for c, center in zip(classes.tolist(), centers[k].tolist()):
+                pos_c = (assigned == c).nonzero()[0]
+                neg_c = (sources == c).nonzero()[0]
+                if pos_c.size == 0:
+                    # Another class's identical center box absorbed this
+                    # class's proposals; there is nothing to balance.
+                    balance[k][c] = ClassBalance(0, neg_c.size, "absorbed")
+                    continue
+                if neg_c.size > 0:
+                    rng = SamplerRng(seed, scene.scene_id, iteration, k + 1, c).generator()
+                    detail = sample_negatives_detail(
+                        neg_c, targets.max_iou[k, neg_c], pos_c.size, mu,
+                        schedule.lambda_ig, schedule.lambda_ng, rng, schedule.n_bins,
+                    )
+                    balance[k][c] = ClassBalance(pos_c.size, neg_c.size, "sampled", detail)
+                    keep_k[detail.selected] = True
+                    neg_after[k] += detail.selected.size
+                    kept = pos_c
+                else:
+                    kept = reselect_positives(pos_c, supervisors[k], c, center, neglect)
+                    # The rule returns pos_c itself unless it fires.
+                    balance[k][c] = ClassBalance(pos_c.size, 0, "all positives" if kept is pos_c else "center only")
+                keep_k[kept] = True
+        neg_after = np.array(neg_after)
+        targets = keep_selected(targets, keep)
+        zetas = zeta("finetune", num_proposals, np.count_nonzero(keep, axis=1))
+
+    mode = _pir_mode(method, schedule.phase)
+    if mode is not None:
+        targets = reweight_branch(targets, scores.phi, schedule, attenuated=(mode == "attenuated"))
+
+    return SceneSupervision(
+        targets=targets,
+        zeta=zetas,
+        pos_selected=np.count_nonzero(targets.selected & targets.positive_mask(), axis=1),
+        neg_before=neg_before,
+        neg_after=neg_after,
+        balance=balance,
+    )
 
 
 def build_branch_supervision(
@@ -385,70 +540,9 @@ def build_branch_supervision(
     seed: int,
     iteration: int,
 ) -> BranchSupervision:
-    """Full supervision pipeline for one branch: assignment, progressive
-    instance balance when active, then positive reweighting when active."""
-    phi_prev = scores.phi_prev(branch)
-    phi_k = scores.phi[branch - 1]
-    centers = select_cluster_centers(phi_prev, scene.image_label)
-    targets, assignment = assign_labels(centers, scene.proposals, phi_prev, schedule.lambda_ig, schedule.lambda_ng)
-    neg_before = int(np.count_nonzero(targets.assigned_class == targets.num_classes + 1))
-    neg_after = neg_before
-    zeta_k = 1.0
-
-    balance: dict[int, ClassBalance] = {}
-    pib_active = schedule.phase == "finetune" and method in ("pib_only", "opis")
-    if pib_active:
-        kept_pos: list[np.ndarray] = []
-        kept_neg: list[np.ndarray] = []
-        for c in sorted(centers):
-            pos_c = assignment.positives[c]
-            neg_c = assignment.negatives[c]
-            if pos_c.size == 0:
-                # Another class's identical center box absorbed this class's
-                # proposals; there is nothing to balance.
-                balance[c] = ClassBalance(0, int(neg_c.size), "absorbed")
-                continue
-            if neg_c.size > 0:
-                rng = SamplerRng(seed, scene.scene_id, iteration, branch, c).generator()
-                detail = sample_negatives_detail(
-                    neg_c,
-                    targets.max_iou[neg_c],
-                    pos_c.size,
-                    schedule.mu,
-                    schedule.lambda_ig,
-                    schedule.lambda_ng,
-                    rng,
-                    schedule.n_bins,
-                )
-                balance[c] = ClassBalance(int(pos_c.size), int(neg_c.size), "sampled", detail)
-                kept_neg.append(detail.selected)
-                kept_pos.append(pos_c)
-            else:
-                kept = reselect_positives(pos_c, phi_prev, c, centers[c], schedule.neglect)
-                # The rule returns pos_c itself unless it fires.
-                balance[c] = ClassBalance(int(pos_c.size), 0, "all positives" if kept is pos_c else "center only")
-                kept_pos.append(kept)
-        sel_pos = np.concatenate(kept_pos) if kept_pos else np.empty(0, dtype=np.int64)
-        sel_neg = np.concatenate(kept_neg) if kept_neg else np.empty(0, dtype=np.int64)
-        targets = apply_selection_mask(targets, sel_pos, sel_neg)
-        neg_after = int(sel_neg.size)
-        zeta_k = zeta("finetune", targets.num_proposals, int(sel_pos.size + sel_neg.size))
-
-    mode = _pir_mode(method, schedule.phase)
-    if mode is not None:
-        targets = reweight_branch(targets, phi_k, schedule, attenuated=(mode == "attenuated"))
-
-    pos_selected = int(
-        np.count_nonzero(targets.selected & (targets.assigned_class >= 1) & (targets.assigned_class <= targets.num_classes))
-    )
-    return BranchSupervision(
-        targets=targets,
-        zeta=zeta_k,
-        pos_selected=pos_selected,
-        neg_before=neg_before,
-        neg_after=neg_after,
-        balance=balance,
-    )
+    """Supervision of one 1-based branch: a view of ``supervise_scene``."""
+    scores.phi_prev(branch)  # validates the branch number
+    return supervise_scene(scene, scores, schedule, method, seed, iteration)[branch - 1]
 
 
 def scene_pass(
@@ -460,43 +554,39 @@ def scene_pass(
     iteration: int,
     frozen: Sequence[BranchSupervision] | None = None,
     want_grads: bool = True,
-) -> tuple[float, list[float], list[BranchSupervision], dict[str, np.ndarray] | None]:
-    """Forward pass, per-branch supervision, losses, and analytic gradients.
+) -> tuple[float, list[float], SceneSupervision, ToyModel | None]:
+    """Forward pass, supervision of all branches, losses, and analytic gradients.
 
     Supervision weights and selections are treated as constants: gradients flow
     through the live softmax scores only. Passing ``frozen`` supervision reuses
-    targets from a previous pass (used by the finite-difference checker).
+    targets from a previous pass (used by the finite-difference checker). The
+    gradient comes back in the model's layout: ``grads.flat`` matches
+    ``model.flat`` and ``grads["w_cls"]`` names one parameter.
     """
     scores = forward(model, scene)
     y_raw = image_scores(scores.x_r)
     loss_midn = midn_loss(y_raw, scene.image_label)
     if frozen is None:
-        sup = [
-            build_branch_supervision(scene, scores, k, schedule, method, seed, iteration)
-            for k in range(1, model.num_branches + 1)
-        ]
+        sup = supervise_scene(scene, scores, schedule, method, seed, iteration)
     else:
-        sup = list(frozen)
-    ref_losses = [refinement_loss(s.targets, scores.phi[k], s.zeta) for k, s in enumerate(sup)]
+        sup = SceneSupervision.stack(frozen)
+    ref_losses = refinement_losses(sup.targets, scores.phi, sup.zeta)
     if not want_grads:
         return loss_midn, ref_losses, sup, None
 
-    grads: dict[str, np.ndarray] = {}
-    g_y = midn_loss_grad(y_raw, scene.image_label)
-    d_xr = np.broadcast_to(g_y[:, None], scores.x_r.shape)
-    d_sc = d_xr * scores.det_probs
-    d_sd = d_xr * scores.class_probs
+    # d(loss)/d(logits) for every head, in the row order of model.weights.
+    c, k, p = model.num_classes, model.num_branches, scene.num_proposals
+    dz = np.empty((model.weights.shape[0], p))
+    g_y = midn_loss_grad(y_raw, scene.image_label)[:, None]
     sc, sd = scores.class_probs, scores.det_probs
-    dz_cls = sc * (d_sc - (d_sc * sc).sum(axis=0, keepdims=True))
-    dz_det = sd * (d_sd - (d_sd * sd).sum(axis=1, keepdims=True))
-    grads["w_cls"] = dz_cls @ scene.features
-    grads["b_cls"] = dz_cls.sum(axis=1)
-    grads["w_det"] = dz_det @ scene.features
-    grads["b_det"] = dz_det.sum(axis=1)
-    for k, s in enumerate(sup):
-        g_k = refinement_loss_grad(s.targets, scores.ref_logits[k], s.zeta)
-        grads[f"w_ref_{k + 1}"] = g_k @ scene.features
-        grads[f"b_ref_{k + 1}"] = g_k.sum(axis=1)
+    d_sc = g_y * sd
+    d_sd = g_y * sc
+    np.multiply(sc, d_sc - (d_sc * sc).sum(axis=0, keepdims=True), out=dz[:c])
+    np.multiply(sd, d_sd - (d_sd * sd).sum(axis=1, keepdims=True), out=dz[c : 2 * c])
+    refinement_grads(sup.targets, scores.phi, sup.zeta, out=dz[2 * c :].reshape(k, c + 1, p))
+    grads = ToyModel.from_flat(np.empty_like(model.flat), c, model.feature_dim, k)
+    np.matmul(dz, scene.features, out=grads.weights)
+    np.sum(dz, axis=1, out=grads.biases)
     return loss_midn, ref_losses, sup, grads
 
 
@@ -543,6 +633,18 @@ class TrainConfig:
             raise ValueError("need at least one refinement branch")
         if self.iterations_override is not None and self.iterations_override < 2:
             raise ValueError("iterations_override must be >= 2")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not 0.0 < self.lr_decay <= 1.0:
+            raise ValueError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
+        if self.eval_scenes < 1:
+            raise ValueError(f"eval_scenes must be >= 1, got {self.eval_scenes}")
+        if not 0.0 < self.nms_iou < 1.0:
+            raise ValueError(f"nms_iou must lie in (0, 1), got {self.nms_iou}")
+        if not 0.0 <= self.score_floor < 1.0:
+            raise ValueError(f"score_floor must lie in [0, 1), got {self.score_floor}")
         # ScheduleState declares the sampler and reweighting bounds; build one
         # so a bad value fails here rather than mid-training.
         self.schedule(0)
@@ -645,6 +747,7 @@ def train(config: TrainConfig, dataset: Sequence[Scene]) -> tuple[ToyModel, Trai
     Phase 1 trains normally (with positive reweighting when the method uses
     it); from iteration t_0 on, instance balance and the attenuated reweighting
     kick in per the method flag, and the learning rate steps down once.
+    Parameters, velocity and the gradient sum are each one flat buffer.
     """
     if len(dataset) == 0:
         raise ValueError("dataset must not be empty")
@@ -656,9 +759,12 @@ def train(config: TrainConfig, dataset: Sequence[Scene]) -> tuple[ToyModel, Trai
         seed=config.seed,
         init_scale=config.init_scale,
     )
-    velocity = {name: np.zeros_like(arr) for name, arr in model.param_items()}
+    params = model.flat
+    velocity = np.zeros_like(params)
+    grad_sum = np.empty_like(params)
     order = _batch_indices(config, len(dataset))
     log = TrainLog(num_branches=config.refinements)
+    inv_b = 1.0 / config.batch_size
 
     for it in range(config.total_iterations):
         start = time.perf_counter()
@@ -669,8 +775,8 @@ def train(config: TrainConfig, dataset: Sequence[Scene]) -> tuple[ToyModel, Trai
 
         loss_midn_sum = 0.0
         ref_sums = np.zeros(config.refinements)
-        grad_sums: dict[str, np.ndarray] = {name: np.zeros_like(arr) for name, arr in model.param_items()}
-        zeta_vals: list[float] = []
+        grad_sum.fill(0.0)
+        zetas: list[np.ndarray] = []
         pos_count = neg_before = neg_after = 0
         for scene_idx in batch:
             scene = dataset[int(scene_idx)]
@@ -681,15 +787,12 @@ def train(config: TrainConfig, dataset: Sequence[Scene]) -> tuple[ToyModel, Trai
                 raise TrainingDivergence(f"non-finite values while scoring: {exc}", it) from exc
             loss_midn_sum += lm
             ref_sums += lrefs
-            for name in grad_sums:
-                grad_sums[name] += grads[name]
-            for s in sup:
-                zeta_vals.append(s.zeta)
-                pos_count += s.pos_selected
-                neg_before += s.neg_before
-                neg_after += s.neg_after
+            grad_sum += grads.flat
+            zetas.append(sup.zeta)
+            pos_count += int(sup.pos_selected.sum())
+            neg_before += int(sup.neg_before.sum())
+            neg_after += int(sup.neg_after.sum())
 
-        inv_b = 1.0 / config.batch_size
         loss_midn_mean = loss_midn_sum * inv_b
         ref_means = ref_sums * inv_b
         loss = total_loss(loss_midn_mean, ref_means.tolist())
@@ -701,12 +804,9 @@ def train(config: TrainConfig, dataset: Sequence[Scene]) -> tuple[ToyModel, Trai
             )
 
         lr = config.learning_rate * (config.lr_decay if it >= config.t_0 else 1.0)
-        for name, arr in model.param_items():
-            g = grad_sums[name] * inv_b + config.weight_decay * arr
-            v = velocity[name]
-            v *= config.momentum
-            v += g
-            arr -= lr * v
+        velocity *= config.momentum
+        velocity += grad_sum * inv_b + config.weight_decay * params
+        params -= lr * velocity
 
         log.records.append(
             IterationRecord(
@@ -714,7 +814,7 @@ def train(config: TrainConfig, dataset: Sequence[Scene]) -> tuple[ToyModel, Trai
                 phase=schedule.phase,
                 t_progress=schedule.t_progress,
                 mu=schedule.mu,
-                zeta_mean=float(np.mean(zeta_vals)),
+                zeta_mean=float(np.mean(np.concatenate(zetas))),
                 loss_midn=loss_midn_mean,
                 loss_refs=tuple(ref_means.tolist()),
                 pos_count=pos_count,
@@ -741,28 +841,24 @@ def finite_diff_check(
     pseudo-label. Returns the maximum error relative to max(1, |analytic|, |numeric|).
     """
     iteration = schedule.t_n
-    lm, lrefs, sup, grads = scene_pass(model, scene, schedule, method, seed, iteration, want_grads=True)
+    _, _, sup, grads = scene_pass(model, scene, schedule, method, seed, iteration, want_grads=True)
 
     def loss_of(m: ToyModel) -> float:
         lm2, lrefs2, _, _ = scene_pass(m, scene, schedule, method, seed, iteration, frozen=sup, want_grads=False)
         return total_loss(lm2, lrefs2)
 
     work = model.copy()
-    arrays = dict(work.param_items())
+    flat = work.flat
     max_err = 0.0
-    for name, g in grads.items():
-        arr = arrays[name]
-        flat = arr.ravel()
-        gflat = g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_of(work)
-            flat[i] = orig - h
-            down = loss_of(work)
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            err = abs(numeric - gflat[i]) / max(1.0, abs(numeric), abs(gflat[i]))
-            if err > max_err:
-                max_err = err
+    for i, analytic in enumerate(grads.flat.tolist()):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = loss_of(work)
+        flat[i] = orig - h
+        down = loss_of(work)
+        flat[i] = orig
+        numeric = (up - down) / (2.0 * h)
+        err = abs(numeric - analytic) / max(1.0, abs(numeric), abs(analytic))
+        if err > max_err:
+            max_err = err
     return max_err

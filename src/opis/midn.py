@@ -13,6 +13,7 @@ import numpy as np
 __all__ = [
     "SCORE_EPS",
     "ScoreSet",
+    "softmax",
     "softmax_over_classes",
     "softmax_over_instances",
     "compose_instance_scores",
@@ -35,20 +36,21 @@ def _as_finite_matrix(x: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
+def softmax(logits: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax along ``axis`` of an array already known to be finite."""
+    e = logits - logits.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=axis, keepdims=True), out=e if out is None else out)
+
+
 def softmax_over_classes(logits: np.ndarray) -> np.ndarray:
     """Column-wise softmax: each proposal's scores sum to 1 across classes."""
-    m = _as_finite_matrix(logits, "logits")
-    z = m - m.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=0, keepdims=True)
+    return softmax(_as_finite_matrix(logits, "logits"), axis=0)
 
 
 def softmax_over_instances(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax: each class's scores sum to 1 across proposals."""
-    m = _as_finite_matrix(logits, "logits")
-    z = m - m.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return softmax(_as_finite_matrix(logits, "logits"), axis=1)
 
 
 def compose_instance_scores(class_probs: np.ndarray, det_probs: np.ndarray) -> np.ndarray:
@@ -75,7 +77,7 @@ def midn_loss(y_pred: np.ndarray, y_true: np.ndarray, eps: float = SCORE_EPS) ->
     y = np.asarray(y_true, dtype=np.float64)
     if p.shape != y.shape:
         raise ValueError(f"prediction/label shapes differ: {p.shape} vs {y.shape}")
-    pc = np.clip(p, eps, 1.0 - eps)
+    pc = np.minimum(np.maximum(p, eps), 1.0 - eps)
     return float(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).sum())
 
 
@@ -85,7 +87,7 @@ def midn_loss_grad(y_pred: np.ndarray, y_true: np.ndarray, eps: float = SCORE_EP
     y = np.asarray(y_true, dtype=np.float64)
     if p.shape != y.shape:
         raise ValueError(f"prediction/label shapes differ: {p.shape} vs {y.shape}")
-    pc = np.clip(p, eps, 1.0 - eps)
+    pc = np.minimum(np.maximum(p, eps), 1.0 - eps)
     g = (pc - y) / (pc * (1.0 - pc))
     return np.where((p < eps) | (p > 1.0 - eps), 0.0, g)
 
@@ -106,10 +108,11 @@ class ScoreSet:
     """All per-scene score matrices produced by one forward pass.
 
     ``x_cls`` / ``x_det`` are raw stream logits, ``class_probs`` / ``det_probs``
-    their softmaxes, ``x_r`` the composed instance scores, ``phi0`` the
-    supervision source for branch 1, and ``phi[k-1]`` the (C+1, P) column
-    softmax of refinement branch k (``ref_logits`` holds the pre-softmax
-    matrices for gradient computation).
+    their softmaxes, and ``x_r`` the composed instance scores. ``phis`` stacks
+    the (C+1, P) class-score matrices of the refinement chain: ``phis[0]`` is
+    ``phi0``, the supervision source for branch 1, and ``phis[k]`` the column
+    softmax of refinement branch k, whose pre-softmax matrix is
+    ``ref_logits[k-1]``. Branch k is supervised by ``phis[k-1]``.
     """
 
     x_cls: np.ndarray
@@ -117,9 +120,8 @@ class ScoreSet:
     class_probs: np.ndarray
     det_probs: np.ndarray
     x_r: np.ndarray
-    phi0: np.ndarray
-    phi: list[np.ndarray]
-    ref_logits: list[np.ndarray]
+    phis: np.ndarray  # (K+1, C+1, P)
+    ref_logits: np.ndarray  # (K, C+1, P)
 
     @property
     def num_classes(self) -> int:
@@ -131,10 +133,24 @@ class ScoreSet:
 
     @property
     def num_branches(self) -> int:
-        return len(self.phi)
+        return self.phis.shape[0] - 1
+
+    @property
+    def phi0(self) -> np.ndarray:
+        return self.phis[0]
+
+    @property
+    def phi(self) -> np.ndarray:
+        """(K, C+1, P): ``phi[k-1]`` is refinement branch k's class softmax."""
+        return self.phis[1:]
+
+    @property
+    def supervisors(self) -> np.ndarray:
+        """(K, C+1, P): ``supervisors[k-1]`` is the score matrix supervising branch k."""
+        return self.phis[:-1]
 
     def phi_prev(self, branch: int) -> np.ndarray:
         """Score matrix supervising the given 1-based branch."""
-        if not 1 <= branch <= len(self.phi):
-            raise ValueError(f"branch must be in [1, {len(self.phi)}], got {branch}")
-        return self.phi0 if branch == 1 else self.phi[branch - 2]
+        if not 1 <= branch <= self.num_branches:
+            raise ValueError(f"branch must be in [1, {self.num_branches}], got {branch}")
+        return self.phis[branch - 1]

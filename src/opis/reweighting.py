@@ -9,8 +9,6 @@ are never touched.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-
 import numpy as np
 
 from .sampling import ScheduleState
@@ -56,18 +54,20 @@ def reweight_branch(
 ) -> SupervisionTargets:
     """Reweight every selected positive of one branch; all else is untouched.
 
+    Also takes a stack of K branches: (K, P) targets with (K, C+1, P) scores.
     The stored weight of a selected positive is exactly the source center's
     previous-branch score, so the boost factor multiplies it. Only ``weight``
-    is copied; the input is not mutated.
+    is copied; the input is not mutated, and is returned when there is no
+    positive.
     """
     phi = np.asarray(phi_k, dtype=np.float64)
-    pos = np.flatnonzero(targets.selected & (targets.assigned_class >= 1) & (targets.assigned_class <= targets.num_classes))
-    if pos.size == 0:
+    idx = (targets.selected & targets.positive_mask()).nonzero()  # (col,) or (branch, col)
+    if idx[-1].size == 0:
         return targets
-    own_scores = phi[targets.assigned_class[pos] - 1, pos]
-    factor = schedule.beta * np.exp(own_scores) + (1.0 - schedule.beta) * np.exp(targets.max_iou[pos])
+    own_scores = phi[(*idx[:-1], targets.assigned_class[idx] - 1, idx[-1])]
+    factor = schedule.beta * np.exp(own_scores) + (1.0 - schedule.beta) * np.exp(targets.max_iou[idx])
     if attenuated:
         factor = factor * math.exp(-schedule.gamma * schedule.t_progress)
     weight = targets.weight.copy()
-    weight[pos] = factor * targets.weight[pos]
-    return replace(targets, weight=weight)
+    weight[idx] = factor * targets.weight[idx]
+    return targets.with_weight(weight)

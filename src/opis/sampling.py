@@ -8,7 +8,7 @@ first and topped up uniformly at random, all without replacement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "sample_negatives",
     "sample_negatives_detail",
     "reselect_positives",
+    "keep_selected",
     "apply_selection_mask",
 ]
 
@@ -132,7 +133,8 @@ class SamplerRng:
 
     def generator(self) -> np.random.Generator:
         key = (_SAMPLER_TAG, self.scene_id, self.iteration, self.branch, self.class_id)
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
+        # The same stream as default_rng(SeedSequence(...)), built directly.
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=key)))
 
 
 @dataclass
@@ -170,10 +172,12 @@ def sample_negatives_detail(
         raise ValueError("sample_negatives requires a non-empty negative set")
 
     target = math.floor(mu * n_pos)
-    edges = iou_bin_edges(lambda_ig, lambda_ng, n_bins)
+    if lambda_ig >= lambda_ng:
+        raise ValueError(f"need lambda_ig < lambda_ng, got ({lambda_ig}, {lambda_ng})")
     width = (lambda_ng - lambda_ig) / n_bins
-    bin_of = np.clip(((neg_ious - lambda_ig) / width).astype(np.int64), 0, n_bins - 1)
-    bins = [neg_indices[bin_of == j] for j in range(n_bins)]
+    bin_of = np.minimum(np.maximum(((neg_ious - lambda_ig) / width).astype(np.int64), 0), n_bins - 1)
+    bin_pos = [(bin_of == j).nonzero()[0] for j in range(n_bins)]
+    bins = [neg_indices[pos] for pos in bin_pos]
     detail = NegativeSampleDetail(target=target, bin_members=bins, stage1=[], stage2=np.empty(0, dtype=np.int64))
 
     if target >= neg_indices.size:
@@ -181,21 +185,27 @@ def sample_negatives_detail(
         detail.selected = np.sort(neg_indices)
         return detail
 
-    chosen: list[np.ndarray] = []
-    for members in bins:
-        take = min(n_pos, members.size)
-        picked = rng.choice(members, size=take, replace=False) if take else members[:0]
-        detail.stage1.append(np.sort(picked.astype(np.int64)))
-        chosen.append(detail.stage1[-1])
-    stage1_all = np.concatenate(chosen) if chosen else neg_indices[:0]
-    need = target - stage1_all.size
+    taken = np.zeros(neg_indices.size, dtype=bool)
+    stage1_size = 0
+    for pos in bin_pos:
+        take = min(n_pos, pos.size)
+        # Drawing positions consumes the stream exactly as drawing the members.
+        picked = pos[rng.choice(pos.size, size=take, replace=False)] if take else pos
+        taken[picked] = True
+        members = neg_indices[picked]
+        members.sort()
+        detail.stage1.append(members)
+        stage1_size += take
+    need = target - stage1_size
     if need > 0:
-        remaining = np.setdiff1d(neg_indices, stage1_all, assume_unique=True)
+        remaining = neg_indices[~taken]
         if need >= remaining.size:
             detail.stage2 = remaining
         else:
-            detail.stage2 = np.sort(rng.choice(remaining, size=need, replace=False).astype(np.int64))
-    detail.selected = np.sort(np.concatenate([stage1_all, detail.stage2]))
+            detail.stage2 = remaining[rng.choice(remaining.size, size=need, replace=False)]
+            detail.stage2.sort()
+    detail.selected = np.concatenate([*detail.stage1, detail.stage2])
+    detail.selected.sort()
     return detail
 
 
@@ -235,17 +245,23 @@ def reselect_positives(
     return pos_indices
 
 
+def keep_selected(targets: SupervisionTargets, keep: np.ndarray) -> SupervisionTargets:
+    """Zero the weight of every proposal outside the boolean mask ``keep``.
+
+    Works on one branch or a stack. Labels, IoUs, and source classes are
+    shared with the input, which is not mutated; kept proposals keep their
+    weight bit-for-bit.
+    """
+    return targets.with_weight(np.where(keep, targets.weight, 0.0), selected=keep)
+
+
 def apply_selection_mask(
     targets: SupervisionTargets,
     selected_pos: np.ndarray,
     selected_neg: np.ndarray,
 ) -> SupervisionTargets:
-    """Zero the weight of every labeled proposal outside the selected sets.
-
-    Labels, IoUs, and source classes are shared with the input, which is not
-    mutated; kept proposals keep their weight bit-for-bit.
-    """
+    """Zero the weight of every labeled proposal outside the selected sets."""
     keep = np.zeros(targets.num_proposals, dtype=bool)
     keep[np.asarray(selected_pos, dtype=np.int64)] = True
     keep[np.asarray(selected_neg, dtype=np.int64)] = True
-    return replace(targets, selected=keep, weight=np.where(keep, targets.weight, 0.0))
+    return keep_selected(targets, keep)

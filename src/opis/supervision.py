@@ -2,7 +2,9 @@
 
 Class ids are 1-based throughout (background is C+1); proposal indices are
 0-based positions into the scene's proposal array. Row c-1 of a score matrix
-holds class c.
+holds class c. The array-native core works on a stack of K branches at once:
+score matrices are (K, C+1, P) and per-proposal arrays (K, P); the
+single-branch functions are views of it.
 """
 
 from __future__ import annotations
@@ -17,16 +19,19 @@ from .geometry import BBox, iou, pairwise_iou
 __all__ = [
     "SupervisionTargets",
     "ClusterAssignment",
+    "cluster_center_indices",
     "select_cluster_centers",
     "max_iou_source",
+    "assign_branches",
     "assign_labels",
 ]
 
 
 @dataclass
 class SupervisionTargets:
-    """Per-proposal supervision for one refinement branch.
+    """Per-proposal supervision for one refinement branch, or a stack of them.
 
+    Every array is (P,) for one branch or (K, P) for a scene's K branches.
     ``assigned_class`` is 1..C for positives, C+1 for negatives, and 0 for
     ignored proposals. ``max_iou`` is the highest IoU to any cluster center and
     ``source_class`` the class of the center attaining it. ``weight`` carries
@@ -43,7 +48,25 @@ class SupervisionTargets:
 
     @property
     def num_proposals(self) -> int:
-        return self.assigned_class.shape[0]
+        return self.assigned_class.shape[-1]
+
+    def branch(self, k: int) -> "SupervisionTargets":
+        """Row ``k`` of a stack, as views."""
+        return SupervisionTargets(self.assigned_class[k], self.max_iou[k], self.source_class[k],
+                                  self.weight[k], self.selected[k], self.num_classes)
+
+    def as_stack(self) -> "SupervisionTargets":
+        """One branch as a stack of one, as views."""
+        return SupervisionTargets(self.assigned_class[None], self.max_iou[None], self.source_class[None],
+                                  self.weight[None], self.selected[None], self.num_classes)
+
+    def with_weight(self, weight: np.ndarray, selected: np.ndarray | None = None) -> "SupervisionTargets":
+        """The same labels with a new weight (and selection mask)."""
+        return SupervisionTargets(self.assigned_class, self.max_iou, self.source_class, weight,
+                                  self.selected if selected is None else selected, self.num_classes)
+
+    def positive_mask(self) -> np.ndarray:
+        return (self.assigned_class >= 1) & (self.assigned_class <= self.num_classes)
 
     def one_hot_labels(self) -> np.ndarray:
         """(C+1, P) one-hot label matrix; ignored proposals get all-zero columns."""
@@ -67,16 +90,27 @@ class ClusterAssignment:
     negatives: dict[int, np.ndarray]
 
 
-def select_cluster_centers(phi_prev: np.ndarray, image_label: np.ndarray) -> dict[int, int]:
-    """Top-scoring proposal per present class; score ties pick the lowest index."""
+def cluster_center_indices(phi_prev: np.ndarray, image_label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Present classes (ascending) and the top-scoring proposal of each.
+
+    ``phi_prev`` is (C+1, P) or a (K, C+1, P) stack; the centers are (n,) or
+    (K, n) for n present classes. Score ties pick the lowest index.
+    """
     phi = np.asarray(phi_prev, dtype=np.float64)
-    label = np.asarray(image_label)
-    if phi.ndim != 2 or phi.shape[1] < 1:
-        raise ValueError("phi_prev must be a matrix with at least one proposal column")
-    present = np.flatnonzero(label > 0)
+    if phi.ndim not in (2, 3) or phi.shape[-1] < 1:
+        raise ValueError("phi_prev must be a matrix (or a stack of them) with at least one proposal column")
+    present = (np.asarray(image_label) > 0).nonzero()[0]
     if present.size == 0:
         raise ValueError("image label has no positive class")
-    return {int(c) + 1: int(np.argmax(phi[c])) for c in present}
+    return present + 1, phi[..., present, :].argmax(axis=-1)
+
+
+def select_cluster_centers(phi_prev: np.ndarray, image_label: np.ndarray) -> dict[int, int]:
+    """Top-scoring proposal per present class; score ties pick the lowest index."""
+    if np.ndim(phi_prev) != 2:
+        raise ValueError("phi_prev must be a matrix with at least one proposal column")
+    classes, centers = cluster_center_indices(phi_prev, image_label)
+    return dict(zip(classes.tolist(), centers.tolist()))
 
 
 def max_iou_source(proposal: BBox, center_boxes: Mapping[int, BBox]) -> tuple[float, int]:
@@ -102,6 +136,55 @@ def _proposal_array(proposals: Sequence[BBox] | np.ndarray) -> np.ndarray:
     return np.array([[b.x1, b.y1, b.x2, b.y2] for b in proposals], dtype=np.float64)
 
 
+def assign_branches(
+    classes: np.ndarray,
+    centers: np.ndarray,
+    boxes: np.ndarray,
+    phi_prev: np.ndarray,
+    lambda_ig: float,
+    lambda_ng: float,
+) -> SupervisionTargets:
+    """Three-way label assignment of K branches against their cluster centers.
+
+    ``classes`` (n,) ascending, ``centers`` (K, n) proposal indices, ``boxes``
+    (P, 4), ``phi_prev`` (K, C+1, P); returns (K, P) targets. One IoU matrix
+    against the distinct center proposals of all branches serves every branch.
+    A proposal is positive for the source class when its highest center IoU is
+    >= lambda_ng, ignored when <= lambda_ig, and background otherwise; equal
+    IoUs resolve to the lower class. Labeled proposals inherit the source
+    center's previous-branch score as weight.
+    """
+    num_branches, num_classes = phi_prev.shape[0], phi_prev.shape[1] - 1
+    # A mask, not np.unique: the first np.unique call in a process raises its
+    # peak RSS by about 1 MB.
+    is_center = np.zeros(boxes.shape[0], dtype=bool)
+    is_center[centers] = True
+    distinct = is_center.nonzero()[0]
+    overlaps = pairwise_iou(boxes[distinct], boxes)  # (m, P)
+    per_class = overlaps[np.searchsorted(distinct, centers)]  # (K, n, P)
+    # First occurrence of the maximum: equal IoUs resolve to the lower class.
+    best = per_class.argmax(axis=1)
+    max_iou = per_class.max(axis=1)
+    source = classes[best]
+
+    positive = max_iou >= lambda_ng
+    ignored = max_iou <= lambda_ig
+    negative = ~(positive | ignored)
+
+    rows = np.arange(num_branches)[:, None]
+    center_scores = phi_prev[rows, classes - 1, centers]  # (K, n)
+    weight = np.where(ignored, 0.0, center_scores[rows, best])
+    assigned = np.where(positive, source, np.where(negative, num_classes + 1, 0))
+    return SupervisionTargets(
+        assigned_class=assigned,
+        max_iou=max_iou,
+        source_class=source,
+        weight=weight,
+        selected=positive | negative,
+        num_classes=num_classes,
+    )
+
+
 def assign_labels(
     centers: Mapping[int, int],
     proposals: Sequence[BBox] | np.ndarray,
@@ -109,12 +192,7 @@ def assign_labels(
     lambda_ig: float,
     lambda_ng: float,
 ) -> tuple[SupervisionTargets, ClusterAssignment]:
-    """Three-way label assignment against the cluster centers.
-
-    A proposal is positive for the source class when its highest center IoU is
-    >= lambda_ng, ignored when <= lambda_ig, and background otherwise. Labeled
-    proposals inherit the source center's previous-branch score as weight.
-    """
+    """Three-way label assignment of one branch; see ``assign_branches``."""
     if not (0.0 <= lambda_ig < lambda_ng <= 1.0):
         raise ValueError(f"thresholds must satisfy 0 <= lambda_ig < lambda_ng <= 1, got ({lambda_ig}, {lambda_ng})")
     if not centers:
@@ -123,37 +201,14 @@ def assign_labels(
     if boxes.shape[0] == 0:
         raise ValueError("empty proposal set")
     phi = np.asarray(phi_prev, dtype=np.float64)
-    num_classes = phi.shape[0] - 1
 
     classes = np.array(sorted(centers), dtype=np.int64)
     center_idx = np.array([centers[int(c)] for c in classes], dtype=np.int64)
-    overlaps = pairwise_iou(boxes, boxes[center_idx])
-    # First occurrence of the row maximum: equal IoUs resolve to the lower class.
-    best = overlaps.argmax(axis=1)
-    max_iou_vals = overlaps[np.arange(boxes.shape[0]), best]
-    source = classes[best]
-
-    positive = max_iou_vals >= lambda_ng
-    ignored = max_iou_vals <= lambda_ig
-    negative = ~(positive | ignored)
-
-    center_scores = phi[classes - 1, center_idx]
-    weight = np.where(ignored, 0.0, center_scores[best])
-    assigned = np.zeros(boxes.shape[0], dtype=np.int64)
-    assigned[positive] = source[positive]
-    assigned[negative] = num_classes + 1
-
-    targets = SupervisionTargets(
-        assigned_class=assigned,
-        max_iou=max_iou_vals,
-        source_class=source,
-        weight=weight,
-        selected=positive | negative,
-        num_classes=num_classes,
-    )
+    targets = assign_branches(classes, center_idx[None], boxes, phi[None], lambda_ig, lambda_ng).branch(0)
+    negative = targets.assigned_class == targets.num_classes + 1
     assignment = ClusterAssignment(
         centers={int(c): int(i) for c, i in zip(classes, center_idx)},
-        positives={int(c): np.flatnonzero(positive & (source == c)) for c in classes},
-        negatives={int(c): np.flatnonzero(negative & (source == c)) for c in classes},
+        positives={int(c): np.flatnonzero(targets.assigned_class == c) for c in classes},
+        negatives={int(c): np.flatnonzero(negative & (targets.source_class == c)) for c in classes},
     )
     return targets, assignment

@@ -33,6 +33,9 @@ eval_seed = 77
 """
 
 
+TRAIN_GOLDENS = Path(__file__).parent / "data" / "train_golden"
+
+
 @pytest.fixture
 def config_path(tmp_path):
     p = tmp_path / "small.ini"
@@ -127,6 +130,43 @@ class TestTrainCommand:
         assert rc == EXIT_CONFIG
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("eval_scenes", "0"),
+        ("nms_iou", "1.5"),
+        ("score_floor", "1.0"),
+        ("learning_rate", "-0.1"),
+        ("momentum", "1.0"),
+        ("lr_decay", "0"),
+    ])
+    def test_train_bounds_exit_2_naming_key(self, key, value, tmp_path, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text(SMALL_CONFIG.replace("[train]\n", f"[train]\n{key} = {value}\n"))
+        rc = main(["train", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_learning_rate_exits_2(self, value, tmp_path, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text(SMALL_CONFIG.replace("learning_rate = 0.3", f"learning_rate = {value}"))
+        rc = main(["train", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "learning_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method,config_text", [
+        ("opis", SMALL_CONFIG + "\n[schedule]\nt0_fraction = 0.1\n"),
+        ("baseline", SMALL_CONFIG),
+    ])
+    def test_outputs_pinned(self, method, config_text, tmp_path):
+        # Captured before the training step was batched over branches.
+        p = tmp_path / "pin.ini"
+        p.write_text(config_text)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(p), "--out", str(out), "--method", method]) == EXIT_OK
+        for name in ("trainlog.csv", "model.json"):
+            assert (out / name).read_bytes() == (TRAIN_GOLDENS / method / name).read_bytes(), name
 
     def test_module_entry_point_runs(self, config_path, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(opis.__file__).parents[1]))
