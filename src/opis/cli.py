@@ -24,6 +24,7 @@ import numpy as np
 from .evaluation import dump_detections, evaluate_scenes
 from .harness import (
     METHODS,
+    Scene,
     SceneConfig,
     ToyModel,
     TrainConfig,
@@ -35,7 +36,7 @@ from .harness import (
     supervise_scene,
     train,
 )
-from .sampling import ScheduleState
+from .sampling import N_BINS, ScheduleState
 
 __all__ = ["ConfigError", "load_config", "resolved_config_text", "main", "entrypoint"]
 
@@ -123,13 +124,8 @@ def resolved_config_text(config: TrainConfig) -> str:
 
 
 def _apply_overrides(config: TrainConfig, args: argparse.Namespace) -> TrainConfig:
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "method", None) is not None:
-        updates["method"] = args.method
-    if getattr(args, "iterations_override", None) is not None:
-        updates["iterations_override"] = args.iterations_override
+    keys = ("seed", "method", "iterations_override")
+    updates = {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
     try:
         return replace(config, **updates) if updates else config
     except ValueError as exc:
@@ -147,15 +143,22 @@ def _worker_count(cells: int) -> int:
     return max(1, min(limit, cells))
 
 
+def _dataset(scene: SceneConfig, seed: int, count: int) -> list[Scene]:
+    try:
+        return generate_dataset(scene, seed, count)
+    except RuntimeError as exc:  # a world whose objects cannot all be covered
+        raise ConfigError(f"[data]: {exc}") from exc
+
+
 def _run_cell(payload: tuple[TrainConfig, str, int]) -> tuple[str, int, float, float]:
     config, method, seed = payload
     cfg = replace(config, method=method, seed=seed)
-    dataset = generate_dataset(cfg.scene, cfg.seed, cfg.scenes_per_epoch)
+    dataset = _dataset(cfg.scene, cfg.seed, cfg.scenes_per_epoch)
     try:
         model, _ = train(cfg, dataset)
     except TrainingDivergence as exc:
         raise TrainingDivergence(f"{method} seed {seed}: {exc}", exc.iteration, exc.snapshot) from exc
-    eval_scenes = generate_dataset(cfg.scene, cfg.eval_seed, cfg.eval_scenes)
+    eval_scenes = _dataset(cfg.scene, cfg.eval_seed, cfg.eval_scenes)
     report, _ = evaluate_scenes(model, eval_scenes, nms_iou=cfg.nms_iou, score_floor=cfg.score_floor)
     return method, seed, report.mean_ap, report.corloc
 
@@ -169,22 +172,22 @@ def _load_model(path: str, config: TrainConfig) -> ToyModel:
         model = ToyModel.from_json(p.read_text())
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"malformed model file {p}: {type(exc).__name__}: {exc}") from exc
+    # ToyModel checks that its heads agree with each other; they must fit the world too.
     num_classes, feature_dim = config.scene.num_classes, config.scene.feature_dim
-    fresh = ToyModel.initialize(num_classes, feature_dim, max(model.num_branches, 1), seed=0)
-    if [(n, a.shape) for n, a in model.param_items()] != [(n, a.shape) for n, a in fresh.param_items()]:
+    if (model.num_classes, model.feature_dim) != (num_classes, feature_dim) or model.num_branches < 1:
         raise ConfigError(
             f"model {p} parameter shapes do not fit config data section "
-            f"({num_classes} classes, {feature_dim} dims)"
+            f"({num_classes} classes, {feature_dim} dims, at least one refinement branch)"
         )
     return model
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
+    dataset = _dataset(config.scene, config.seed, config.scenes_per_epoch)
+    model, log = train(config, dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = generate_dataset(config.scene, config.seed, config.scenes_per_epoch)
-    model, log = train(config, dataset)
     log.write_csv(out / "trainlog.csv")
     log.write_timing_csv(out / "timing.csv")
     (out / "model.json").write_text(model.to_json())
@@ -197,7 +200,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     model = _load_model(args.model, config)
     dataset_seed = args.dataset_seed if args.dataset_seed is not None else config.eval_seed
-    scenes = generate_dataset(config.scene, dataset_seed, config.eval_scenes)
+    scenes = _dataset(config.scene, dataset_seed, config.eval_scenes)
     report, records = evaluate_scenes(model, scenes, nms_iou=config.nms_iou, score_floor=config.score_floor)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -269,8 +272,7 @@ def cmd_sample_demo(args: argparse.Namespace) -> int:
         raise ConfigError(f"--iteration must lie in the fine-tuning range [{t_0}, {t_1}), got {iteration}")
     schedule = config.schedule(iteration)
 
-    dataset = generate_dataset(config.scene, config.seed, 1)
-    scene = dataset[0]
+    scene = _dataset(config.scene, config.seed, 1)[0]
     if args.model is not None:
         model = _load_model(args.model, config)
     else:
@@ -280,7 +282,7 @@ def cmd_sample_demo(args: argparse.Namespace) -> int:
     scores = forward(model, scene)
     print(f"scene {scene.scene_id}, iteration {iteration}: T={schedule.t_progress:.4f} "
           f"mu={schedule.mu:.4f} I_t={schedule.neglect:.4f}")
-    width = (schedule.lambda_ng - schedule.lambda_ig) / schedule.n_bins
+    width = (schedule.lambda_ng - schedule.lambda_ig) / N_BINS
     # The trace is of the sampler, so run the pipeline with instance balance
     # on whatever [train] method says.
     sup = supervise_scene(scene, scores, schedule, "pib_only", config.seed, iteration)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -24,8 +24,11 @@ from .midn import ScoreSet, image_scores, midn_loss, midn_loss_grad, softmax
 from .reweighting import reweight_branch
 from .sampling import (
     NegativeSampleDetail,
+    SamplerParams,
     SamplerRng,
     ScheduleState,
+    bounded,
+    check_bounds,
     keep_selected,
     reselect_positives,
     sample_negatives_detail,
@@ -82,32 +85,32 @@ class TrainingDivergence(RuntimeError):
 class SceneConfig:
     """Synthetic world parameters; defaults give a heavy negative surplus."""
 
-    num_classes: int = 4
-    feature_dim: int = 16
-    num_proposals: int = 150
-    clutter_rate: float = 0.3
-    jitter: float = 0.45
-    feature_noise: float = 0.35
-    min_objects: int = 1
-    max_objects: int = 3
-    world_size: float = 100.0
-    object_size_min: float = 14.0
-    object_size_max: float = 34.0
-    clutter_size_min: float = 5.0
-    clutter_size_max: float = 40.0
-    coverage_iou: float = 0.5
-    max_regen_attempts: int = 100
-    prototype_seed: int = 20202
+    num_classes: int = bounded(4, "[1, inf)")
+    feature_dim: int = bounded(16, "[1, inf)")
+    num_proposals: int = bounded(150, "[1, inf)")
+    clutter_rate: float = bounded(0.3, "[0, 1)")
+    jitter: float = bounded(0.45, "[0, inf)")
+    feature_noise: float = bounded(0.35, "[0, inf)")
+    min_objects: int = bounded(1, "[1, inf)")
+    max_objects: int = bounded(3, "[1, inf)")
+    world_size: float = bounded(100.0, "(0, inf)")
+    object_size_min: float = bounded(14.0, "(0, inf)")
+    object_size_max: float = bounded(34.0, "(0, inf)")
+    clutter_size_min: float = bounded(5.0, "(0, inf)")
+    clutter_size_max: float = bounded(40.0, "(0, inf)")
+    coverage_iou: float = bounded(0.5, "(0, 1]")
+    max_regen_attempts: int = bounded(100, "[1, inf)")
+    prototype_seed: int = bounded(20202, "[0, inf)")
 
     def __post_init__(self) -> None:
-        if self.num_classes < 1 or self.feature_dim < self.num_classes:
-            raise ValueError("need num_classes >= 1 and feature_dim >= num_classes")
-        if self.num_proposals < 1:
-            raise ValueError("need at least one proposal")
-        if not 0.0 <= self.clutter_rate < 1.0:
-            raise ValueError(f"clutter_rate must lie in [0, 1), got {self.clutter_rate}")
-        if not 1 <= self.min_objects <= self.max_objects:
-            raise ValueError("need 1 <= min_objects <= max_objects")
+        check_bounds(self)
+        if self.feature_dim < self.num_classes:
+            raise ValueError(f"need num_classes <= feature_dim, got ({self.num_classes}, {self.feature_dim})")
+        if self.min_objects > self.max_objects:
+            raise ValueError(f"need min_objects <= max_objects, got ({self.min_objects}, {self.max_objects})")
+        for low, high in (("object_size_min", "object_size_max"), ("clutter_size_min", "clutter_size_max")):
+            if not getattr(self, low) <= getattr(self, high) <= self.world_size:
+                raise ValueError(f"need {low} <= {high} <= world_size, got {getattr(self, low)}, {getattr(self, high)}")
 
 
 @dataclass
@@ -187,7 +190,8 @@ def generate_scene(config: SceneConfig, rng: np.random.Generator, scene_id: int 
         if np.all(overlap.max(axis=0) >= config.coverage_iou):
             break
     else:
-        raise RuntimeError(f"could not cover all objects after {config.max_regen_attempts} proposal redraws")
+        raise RuntimeError(f"could not cover all objects at coverage_iou = {config.coverage_iou}, jitter = "
+                           f"{config.jitter} in max_regen_attempts = {config.max_regen_attempts} proposal redraws")
 
     best_gt = overlap.argmax(axis=1)
     best_iou = overlap[np.arange(proposals.shape[0]), best_gt]
@@ -449,14 +453,6 @@ class SceneSupervision(Sequence[BranchSupervision]):
         )
 
 
-def _pir_mode(method: str, phase: str) -> str | None:
-    if method == "pir_only":
-        return "normal"
-    if method == "opis":
-        return "attenuated" if phase == "finetune" else "normal"
-    return None
-
-
 def supervise_scene(
     scene: Scene,
     scores: ScoreSet,
@@ -502,7 +498,7 @@ def supervise_scene(
                     rng = SamplerRng(seed, scene.scene_id, iteration, k + 1, c).generator()
                     detail = sample_negatives_detail(
                         neg_c, targets.max_iou[k, neg_c], pos_c.size, mu,
-                        schedule.lambda_ig, schedule.lambda_ng, rng, schedule.n_bins,
+                        schedule.lambda_ig, schedule.lambda_ng, rng,
                     )
                     balance[k][c] = ClassBalance(pos_c.size, neg_c.size, "sampled", detail)
                     keep_k[detail.selected] = True
@@ -517,9 +513,9 @@ def supervise_scene(
         targets = keep_selected(targets, keep)
         zetas = zeta("finetune", num_proposals, np.count_nonzero(keep, axis=1))
 
-    mode = _pir_mode(method, schedule.phase)
-    if mode is not None:
-        targets = reweight_branch(targets, scores.phi, schedule, attenuated=(mode == "attenuated"))
+    if method in ("pir_only", "opis"):
+        attenuated = method == "opis" and schedule.phase == "finetune"
+        targets = reweight_branch(targets, scores.phi, schedule, attenuated=attenuated)
 
     return SceneSupervision(
         targets=targets,
@@ -591,63 +587,35 @@ def scene_pass(
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """One experiment: world, model, optimizer, schedule, and method flag."""
+class TrainConfig(SamplerParams):
+    """One experiment: world, model, optimizer, schedule, method flag, and the
+    inherited sampling and reweighting hyperparameters."""
 
-    seed: int = 0
+    seed: int = bounded(0, "[0, inf)")
     method: str = "opis"
-    scenes_per_epoch: int = 200
-    epochs: int = 40
-    batch_size: int = 2
-    learning_rate: float = 0.5
-    lr_decay: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
-    t0_fraction: float = 0.78
-    refinements: int = 3
-    init_scale: float = 0.01
-    mu_s: float = 20.0
-    alpha: float = 0.85
-    i_0: float = 0.05
-    lambda_ig: float = 0.1
-    lambda_ng: float = 0.5
-    beta: float = 0.5
-    gamma: float = 0.9
-    eval_scenes: int = 100
-    eval_seed: int = 1234
-    nms_iou: float = 0.3
-    score_floor: float = 1e-3
-    iterations_override: int | None = None
+    scenes_per_epoch: int = bounded(200, "[1, inf)")
+    epochs: int = bounded(40, "[1, inf)")
+    batch_size: int = bounded(2, "[1, inf)")
+    learning_rate: float = bounded(0.5, "(0, inf)")
+    lr_decay: float = bounded(0.1, "(0, 1]")
+    momentum: float = bounded(0.9, "[0, 1)")
+    weight_decay: float = bounded(0.0005, "[0, inf)")
+    t0_fraction: float = bounded(0.78, "(0, 1)")
+    refinements: int = bounded(3, "[1, inf)")
+    init_scale: float = bounded(0.01, "[0, inf)")
+    eval_scenes: int = bounded(100, "[1, inf)")
+    eval_seed: int = bounded(1234, "[0, inf)")
+    nms_iou: float = bounded(0.3, "(0, 1)")
+    score_floor: float = bounded(1e-3, "[0, 1)")
+    iterations_override: int | None = bounded(None, "[2, inf)")
     scene: SceneConfig = field(default_factory=SceneConfig)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.seed < 0 or self.eval_seed < 0:
-            raise ValueError("seeds must be non-negative")
-        if self.batch_size < 1 or self.scenes_per_epoch < 1 or self.epochs < 1:
-            raise ValueError("batch_size, scenes_per_epoch, and epochs must be >= 1")
-        if not 0.0 < self.t0_fraction < 1.0:
-            raise ValueError(f"t0_fraction must lie in (0, 1), got {self.t0_fraction}")
-        if self.refinements < 1:
-            raise ValueError("need at least one refinement branch")
-        if self.iterations_override is not None and self.iterations_override < 2:
-            raise ValueError("iterations_override must be >= 2")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ValueError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
-        if self.eval_scenes < 1:
-            raise ValueError(f"eval_scenes must be >= 1, got {self.eval_scenes}")
-        if not 0.0 < self.nms_iou < 1.0:
-            raise ValueError(f"nms_iou must lie in (0, 1), got {self.nms_iou}")
-        if not 0.0 <= self.score_floor < 1.0:
-            raise ValueError(f"score_floor must lie in [0, 1), got {self.score_floor}")
-        # ScheduleState declares the sampler and reweighting bounds; build one
-        # so a bad value fails here rather than mid-training.
-        self.schedule(0)
+        if self.total_iterations < 2:
+            raise ValueError(f"need scenes_per_epoch * epochs // batch_size >= 2, got {self.total_iterations}")
 
     @property
     def total_iterations(self) -> int:
@@ -661,18 +629,8 @@ class TrainConfig:
         return min(max(t0, 1), self.total_iterations - 1)
 
     def schedule(self, iteration: int) -> ScheduleState:
-        return ScheduleState(
-            t_n=iteration,
-            t_0=self.t_0,
-            t_1=self.total_iterations,
-            mu_s=self.mu_s,
-            alpha=self.alpha,
-            i_0=self.i_0,
-            lambda_ig=self.lambda_ig,
-            lambda_ng=self.lambda_ng,
-            beta=self.beta,
-            gamma=self.gamma,
-        )
+        params = {f.name: getattr(self, f.name) for f in fields(SamplerParams)}
+        return ScheduleState(t_n=iteration, t_0=self.t_0, t_1=self.total_iterations, **params)
 
 
 @dataclass
@@ -803,7 +761,7 @@ def train(config: TrainConfig, dataset: Sequence[Scene]) -> tuple[ToyModel, Trai
                 snapshot={"loss_midn": loss_midn_mean, "loss_refs": ref_means.tolist()},
             )
 
-        lr = config.learning_rate * (config.lr_decay if it >= config.t_0 else 1.0)
+        lr = config.learning_rate * (config.lr_decay if schedule.phase == "finetune" else 1.0)
         velocity *= config.momentum
         velocity += grad_sum * inv_b + config.weight_decay * params
         params -= lr * velocity

@@ -7,14 +7,20 @@ first and topped up uniformly at random, all without replacement.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
 from .supervision import SupervisionTargets
 
 __all__ = [
+    "N_BINS",
+    "bounded",
+    "check_bounds",
+    "SamplerParams",
     "ScheduleState",
     "SamplerRng",
     "NegativeSampleDetail",
@@ -31,6 +37,39 @@ __all__ = [
 
 # Stream tag separating sampler draws from all other seeded randomness.
 _SAMPLER_TAG = 4
+
+# Equal-width IoU bins of the negative interval (lambda_ig, lambda_ng).
+N_BINS = 4
+
+
+def bounded(default, interval: str):
+    """A dataclass field that ``check_bounds`` keeps in ``interval``, e.g. "[0, 1)"."""
+    return field(default=default, metadata={"interval": interval})
+
+
+def _membership(spec: str) -> Callable[[float], bool]:
+    """Membership test of an interval written like "(0, 1]"."""
+    low, high = map(float, spec[1:-1].split(","))
+    return {"[]": lambda v: low <= v <= high, "[)": lambda v: low <= v < high,
+            "(]": lambda v: low < v <= high, "()": lambda v: low < v < high}[spec[0] + spec[-1]]
+
+
+@functools.cache
+def _intervals(cls: type) -> tuple[tuple[str, str, Callable[[float], bool]], ...]:
+    """(name, interval, membership test) of each bounded field of a dataclass."""
+    specs = [(f.name, f.metadata["interval"]) for f in fields(cls) if "interval" in f.metadata]
+    return tuple((name, spec, _membership(spec)) for name, spec in specs)
+
+
+def check_bounds(obj) -> None:
+    """Reject any bounded field of the dataclass ``obj`` outside its interval.
+
+    ``None`` is exempt. NaN fails every comparison, so it lies in no interval.
+    """
+    for name, spec, contains in _intervals(type(obj)):
+        v = getattr(obj, name)
+        if v is not None and not contains(v):
+            raise ValueError(f"{name} must lie in {spec}, got {v}")
 
 
 def progressive_t(t_n: int, t_0: int, t_1: int) -> float:
@@ -57,15 +96,33 @@ def neglect_threshold(i_0: float, alpha: float, t_n: int, t_1: int) -> float:
     return i_0 + alpha * t_n / t_1
 
 
-def iou_bin_edges(lambda_ig: float, lambda_ng: float, n_bins: int = 4) -> np.ndarray:
+def iou_bin_edges(lambda_ig: float, lambda_ng: float) -> np.ndarray:
     """Equal-width bin edges over the negative IoU interval (lambda_ig, lambda_ng)."""
     if lambda_ig >= lambda_ng:
         raise ValueError(f"need lambda_ig < lambda_ng, got ({lambda_ig}, {lambda_ng})")
-    return np.linspace(lambda_ig, lambda_ng, n_bins + 1)
+    return np.linspace(lambda_ig, lambda_ng, N_BINS + 1)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SamplerParams:
+    """The sampling and reweighting hyperparameters PIB and PIR add."""
+
+    mu_s: float = bounded(20.0, "[4, inf)")
+    alpha: float = bounded(0.85, "[0, inf)")
+    i_0: float = bounded(0.05, "[0, inf)")
+    lambda_ig: float = bounded(0.1, "[0, 1]")
+    lambda_ng: float = bounded(0.5, "[0, 1]")
+    beta: float = bounded(0.5, "[0, 1]")
+    gamma: float = bounded(0.9, "[0, inf)")
+
+    def __post_init__(self) -> None:
+        check_bounds(self)
+        if self.lambda_ig >= self.lambda_ng:
+            raise ValueError(f"need lambda_ig < lambda_ng, got lambda_ig={self.lambda_ig}, lambda_ng={self.lambda_ng}")
 
 
 @dataclass(frozen=True)
-class ScheduleState:
+class ScheduleState(SamplerParams):
     """Iteration counters plus every sampling/reweighting hyperparameter.
 
     ``t_n`` is the current 0-based iteration; fine-tuning covers iterations in
@@ -75,30 +132,13 @@ class ScheduleState:
     t_n: int
     t_0: int
     t_1: int
-    mu_s: float = 20.0
-    alpha: float = 0.85
-    i_0: float = 0.05
-    lambda_ig: float = 0.1
-    lambda_ng: float = 0.5
-    beta: float = 0.5
-    gamma: float = 0.9
-    n_bins: int = 4
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0 <= self.t_0 < self.t_1:
             raise ValueError(f"need 0 <= t_0 < t_1, got ({self.t_0}, {self.t_1})")
         if not 0 <= self.t_n <= self.t_1:
             raise ValueError(f"iteration {self.t_n} outside [0, {self.t_1}]")
-        if self.mu_s < 4:
-            raise ValueError(f"mu_s must be >= 4, got {self.mu_s}")
-        if not 0.0 <= self.lambda_ig < self.lambda_ng <= 1.0:
-            raise ValueError(
-                f"need 0 <= lambda_ig < lambda_ng <= 1, got lambda_ig={self.lambda_ig}, lambda_ng={self.lambda_ng}"
-            )
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 
     @property
     def phase(self) -> str:
@@ -156,7 +196,6 @@ def sample_negatives_detail(
     lambda_ig: float,
     lambda_ng: float,
     rng: np.random.Generator,
-    n_bins: int = 4,
 ) -> NegativeSampleDetail:
     """Two-stage negative reselection with a per-stage trace.
 
@@ -174,9 +213,9 @@ def sample_negatives_detail(
     target = math.floor(mu * n_pos)
     if lambda_ig >= lambda_ng:
         raise ValueError(f"need lambda_ig < lambda_ng, got ({lambda_ig}, {lambda_ng})")
-    width = (lambda_ng - lambda_ig) / n_bins
-    bin_of = np.minimum(np.maximum(((neg_ious - lambda_ig) / width).astype(np.int64), 0), n_bins - 1)
-    bin_pos = [(bin_of == j).nonzero()[0] for j in range(n_bins)]
+    width = (lambda_ng - lambda_ig) / N_BINS
+    bin_of = np.minimum(np.maximum(((neg_ious - lambda_ig) / width).astype(np.int64), 0), N_BINS - 1)
+    bin_pos = [(bin_of == j).nonzero()[0] for j in range(N_BINS)]
     bins = [neg_indices[pos] for pos in bin_pos]
     detail = NegativeSampleDetail(target=target, bin_members=bins, stage1=[], stage2=np.empty(0, dtype=np.int64))
 
@@ -217,10 +256,9 @@ def sample_negatives(
     lambda_ig: float,
     lambda_ng: float,
     rng: np.random.Generator,
-    n_bins: int = 4,
 ) -> np.ndarray:
     """Reselected negative indices; size is exactly min(floor(mu*n_pos), supply)."""
-    return sample_negatives_detail(neg_indices, neg_ious, n_pos, mu, lambda_ig, lambda_ng, rng, n_bins).selected
+    return sample_negatives_detail(neg_indices, neg_ious, n_pos, mu, lambda_ig, lambda_ng, rng).selected
 
 
 def reselect_positives(

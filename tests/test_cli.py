@@ -1,16 +1,21 @@
 """Command-line behavior: config validation, exit codes, byte-identical
 outputs, and the sampler trace."""
 
+import configparser
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import opis
-from opis.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, ConfigError, load_config, main
+from opis import cli
+from opis.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, ConfigError, load_config, main, resolved_config_text
 
 SMALL_CONFIG = """\
 [data]
@@ -314,3 +319,139 @@ class TestSampleDemoCommand:
         rc = main(["sample-demo", "--config", str(p), "--seed", seed])
         assert rc == EXIT_OK
         assert capsys.readouterr().out == (DEMO_GOLDENS / f"{name}.txt").read_text()
+
+
+# Every INI key's admissible interval; [train] method is checked against METHODS.
+INTERVALS = {
+    "num_classes": "[1, inf)", "feature_dim": "[1, inf)", "num_proposals": "[1, inf)",
+    "clutter_rate": "[0, 1)", "jitter": "[0, inf)", "feature_noise": "[0, inf)",
+    "min_objects": "[1, inf)", "max_objects": "[1, inf)", "world_size": "(0, inf)",
+    "object_size_min": "(0, inf)", "object_size_max": "(0, inf)",
+    "clutter_size_min": "(0, inf)", "clutter_size_max": "(0, inf)",
+    "coverage_iou": "(0, 1]", "max_regen_attempts": "[1, inf)", "prototype_seed": "[0, inf)",
+    "refinements": "[1, inf)", "init_scale": "[0, inf)", "t0_fraction": "(0, 1)",
+    "mu_s": "[4, inf)", "alpha": "[0, inf)", "i_0": "[0, inf)",
+    "lambda_ig": "[0, 1]", "lambda_ng": "[0, 1]", "beta": "[0, 1]", "gamma": "[0, inf)",
+    "seed": "[0, inf)", "scenes_per_epoch": "[1, inf)", "epochs": "[1, inf)", "batch_size": "[1, inf)",
+    "learning_rate": "(0, inf)", "lr_decay": "(0, 1]", "momentum": "[0, 1)", "weight_decay": "[0, inf)",
+    "eval_scenes": "[1, inf)", "eval_seed": "[0, inf)", "nms_iou": "(0, 1)", "score_floor": "[0, 1)",
+}
+SECTION_OF = {key: section for section, keys in cli._SCHEMA.items() for key in keys}
+TYPE_OF = {key: typ for keys in cli._SCHEMA.values() for key, typ in keys.items()}
+
+
+def test_every_key_declares_its_interval():
+    declared = {
+        f.name: f.metadata["interval"]
+        for cls in (opis.SceneConfig, opis.TrainConfig)
+        for f in fields(cls)
+        if f.name in SECTION_OF and "interval" in f.metadata
+    }
+    assert declared == INTERVALS
+    assert set(SECTION_OF) == set(INTERVALS) | {"method"}
+
+
+def _just_outside(key):
+    """Values just below and above the key's interval, plus nan for a float key."""
+    spec, typ = INTERVALS[key], TYPE_OF[key]
+    low, high = (float(x) for x in spec[1:-1].split(","))
+    step = (lambda v, to: int(v) + (1 if to > v else -1)) if typ is int else math.nextafter
+    values = [step(low, -math.inf) if spec[0] == "[" else low]
+    if high < math.inf:
+        values.append(step(high, math.inf) if spec[-1] == "]" else high)
+    elif typ is float:
+        values.append(math.inf)
+    if typ is float:
+        values.append(math.nan)
+    return [repr(typ(v)) if typ is float else str(v) for v in values]
+
+
+@pytest.mark.parametrize("key,value", [(k, v) for k in INTERVALS for v in _just_outside(k)])
+def test_value_outside_interval_exits_2_naming_key(key, value, tmp_path, capsys):
+    p = tmp_path / "bad.ini"
+    p.write_text(f"[{SECTION_OF[key]}]\n{key} = {value}\n")
+    rc = main(["train", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    # These used to exit 1 with a traceback ...
+    ("coverage_iou", "2"), ("max_regen_attempts", "0"), ("world_size", "-5"), ("jitter", "nan"),
+    ("object_size_min", "50"),
+    # ... exit 3 as a numerical failure ...
+    ("mu_s", "nan"), ("gamma", "nan"), ("weight_decay", "nan"), ("init_scale", "nan"),
+    # ... or exit 0.
+    ("alpha", "nan"), ("i_0", "inf"), ("weight_decay", "-1"), ("init_scale", "-1"),
+])
+def test_former_escapes_exit_2_naming_key(key, value, tmp_path, capsys):
+    p = tmp_path / "bad.ini"
+    p.write_text(f"[{SECTION_OF[key]}]\n{key} = {value}\n")
+    rc = main(["train", "--config", str(p), "--out", str(tmp_path / "o"), "--iterations-override", "4"])
+    assert rc == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("scenes_per_epoch", [1, 2, 3])
+def test_run_shorter_than_two_iterations_exits_2(scenes_per_epoch, tmp_path, capsys):
+    p = tmp_path / "short.ini"
+    p.write_text(f"[train]\nscenes_per_epoch = {scenes_per_epoch}\nepochs = 1\nbatch_size = 2\n")
+    rc = main(["train", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert all(key in err for key in ("scenes_per_epoch", "epochs", "batch_size"))
+    assert not (tmp_path / "o").exists()
+
+
+UNCOVERABLE = {
+    "wild_jitter": "jitter = 5\n",
+    "tight_coverage": "coverage_iou = 0.99\n",
+    "one_attempt": "max_regen_attempts = 1\njitter = 2\n",
+}
+
+
+@pytest.mark.parametrize("command,case", [
+    *[(command, case) for command in ("train", "eval", "compare") for case in sorted(UNCOVERABLE)],
+    # sample-demo draws one scene, which only the tight coverage cannot cover.
+    ("sample-demo", "tight_coverage"),
+])
+def test_uncoverable_world_exits_2(command, case, tmp_path, capsys, monkeypatch):
+    p = tmp_path / "world.ini"
+    p.write_text("[data]\n" + UNCOVERABLE[case])
+    model = tmp_path / "model.json"
+    model.write_text(opis.ToyModel.initialize(4, 16, 3, seed=0).to_json())
+    out = ["--out", str(tmp_path / "o")]
+    args = {
+        "train": out + ["--iterations-override", "4"],
+        "eval": out + ["--model", str(model)],
+        "compare": out + ["--methods", "baseline,opis", "--seeds", "0", "--iterations-override", "4"],
+        "sample-demo": [],
+    }[command]
+    monkeypatch.setenv("OPIS_THREADS", "2")  # compare's cells run in worker processes
+    rc = main([command, "--config", str(p)] + args)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert all(key in err for key in ("coverage_iou", "jitter", "max_regen_attempts"))
+    assert not (tmp_path / "o").exists()
+
+
+def _readme_ini():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    return text.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_block_matches_defaults():
+    def typed(text):
+        parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+        parser.read_string(text)
+        return {s: {k: TYPE_OF[k](v) for k, v in parser.items(s)} for s in parser.sections()}
+
+    assert typed(_readme_ini()) == typed(resolved_config_text(opis.TrainConfig()))
+
+
+def test_readme_config_block_gives_every_interval():
+    comments = dict(re.findall(r"^(\w+) = [^;\n]*;(.*)$", _readme_ini(), flags=re.M))
+    for key, spec in INTERVALS.items():
+        assert f"in {spec}" in comments.get(key, ""), key
