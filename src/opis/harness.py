@@ -10,11 +10,12 @@ via tagged SeedSequence streams.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,11 +28,11 @@ from .sampling import (
     SamplerParams,
     SamplerRng,
     ScheduleState,
+    _binned_draw,
     bounded,
     check_bounds,
     keep_selected,
     reselect_positives,
-    sample_negatives_detail,
 )
 from .supervision import SupervisionTargets, assign_branches, cluster_center_indices
 
@@ -410,7 +411,8 @@ class SceneSupervision(Sequence[BranchSupervision]):
     """Supervision for all K branches of one scene, as (K, ...) arrays.
 
     Item k-1 is branch k's ``BranchSupervision``, whose targets are views of
-    row k-1 of the stack.
+    row k-1 of the stack. ``balance[k-1]`` is branch k's ``balance``; training
+    never reads it, so ``balance_records`` builds it on first access.
     """
 
     targets: SupervisionTargets  # (K, P)
@@ -418,7 +420,11 @@ class SceneSupervision(Sequence[BranchSupervision]):
     pos_selected: np.ndarray  # (K,)
     neg_before: np.ndarray  # (K,)
     neg_after: np.ndarray  # (K,)
-    balance: list[dict[int, ClassBalance]]
+    balance_records: Callable[[], list[dict[int, ClassBalance]]] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def balance(self) -> list[dict[int, ClassBalance]]:
+        return self.balance_records()
 
     def __len__(self) -> int:
         return self.zeta.shape[0]
@@ -449,7 +455,7 @@ class SceneSupervision(Sequence[BranchSupervision]):
             pos_selected=np.array([b.pos_selected for b in branches]),
             neg_before=np.array([b.neg_before for b in branches]),
             neg_after=np.array([b.neg_after for b in branches]),
-            balance=[b.balance for b in branches],
+            balance_records=functools.partial(list, [b.balance for b in branches]),
         )
 
 
@@ -465,53 +471,78 @@ def supervise_scene(
     progressive instance balance when active, then positive reweighting when
     active.
 
-    Branch k is supervised by ``scores.phis[k-1]``. Only the negative sampler
-    runs per (branch, class), each on its own ``SamplerRng`` stream.
+    Branch k is supervised by ``scores.phis[k-1]``. Every stage works on the
+    scene's (K, P) arrays. Instance balance treats group k * (C+1) + c, class
+    c of branch k+1, as a whole: a group with positives keeps all of them,
+    unless it has no negatives and the neglect rule fires, and keeps all its
+    negatives unless its target floor(mu * n_pos) is below their supply. Only
+    then does it draw, on its own (scene, iteration, branch, class)
+    ``SamplerRng`` stream, so the draws are those of the per-class sampler.
     """
     supervisors = scores.supervisors
     num_branches, num_proposals = supervisors.shape[0], scene.num_proposals
     classes, centers = cluster_center_indices(supervisors, scene.image_label)
     targets = assign_branches(classes, centers, scene.proposals, supervisors, schedule.lambda_ig, schedule.lambda_ng)
-    background = targets.num_classes + 1
-    negative = targets.assigned_class == background
+    negative = targets.assigned_class == targets.num_classes + 1
     neg_before = np.count_nonzero(negative, axis=1)
     neg_after = neg_before
     zetas = np.ones(num_branches)
 
-    balance: list[dict[int, ClassBalance]] = [{} for _ in range(num_branches)]
+    balance = lambda: [{} for _ in range(num_branches)]
     if schedule.phase == "finetune" and method in ("pib_only", "opis"):
-        mu, neglect = schedule.mu, schedule.neglect
-        keep = np.zeros(targets.assigned_class.shape, dtype=bool)
-        neg_after = [0] * num_branches
-        neg_source = np.where(negative, targets.source_class, 0)
-        for k in range(num_branches):
-            assigned, sources, keep_k = targets.assigned_class[k], neg_source[k], keep[k]
-            for c, center in zip(classes.tolist(), centers[k].tolist()):
-                pos_c = (assigned == c).nonzero()[0]
-                neg_c = (sources == c).nonzero()[0]
-                if pos_c.size == 0:
-                    # Another class's identical center box absorbed this
-                    # class's proposals; there is nothing to balance.
-                    balance[k][c] = ClassBalance(0, neg_c.size, "absorbed")
-                    continue
-                if neg_c.size > 0:
-                    rng = SamplerRng(seed, scene.scene_id, iteration, k + 1, c).generator()
-                    detail = sample_negatives_detail(
-                        neg_c, targets.max_iou[k, neg_c], pos_c.size, mu,
-                        schedule.lambda_ig, schedule.lambda_ng, rng,
-                    )
-                    balance[k][c] = ClassBalance(pos_c.size, neg_c.size, "sampled", detail)
-                    keep_k[detail.selected] = True
-                    neg_after[k] += detail.selected.size
-                    kept = pos_c
-                else:
-                    kept = reselect_positives(pos_c, supervisors[k], c, center, neglect)
-                    # The rule returns pos_c itself unless it fires.
-                    balance[k][c] = ClassBalance(pos_c.size, 0, "all positives" if kept is pos_c else "center only")
-                keep_k[kept] = True
-        neg_after = np.array(neg_after)
+        mu, lambda_ig, lambda_ng, stride = schedule.mu, schedule.lambda_ig, schedule.lambda_ng, targets.num_classes + 1
+        labeled, source, max_iou = targets.assigned_class > 0, targets.source_class, targets.max_iou
+        group = source + stride * np.arange(num_branches)[:, None]
+        n_neg = np.bincount(group[negative], minlength=num_branches * stride)
+        n_pos = np.bincount(group[labeled], minlength=num_branches * stride) - n_neg
+        has_pos = n_pos > 0
+        # Once mu > P >= n_neg, floor(mu * n_pos) >= n_neg for every n_pos >= 1,
+        # so capping mu at P decides every group alike and cannot overflow.
+        draws = has_pos & (np.floor(min(mu, num_proposals) * n_pos) < n_neg)
+        keep = labeled & (~negative | (has_pos & ~draws)[group])
+
+        def draw(g: int, rng: np.random.Generator | None) -> NegativeSampleDetail:
+            k, c = divmod(g, stride)
+            neg_c = (negative[k] & (source[k] == c)).nonzero()[0]
+            return _binned_draw(neg_c, max_iou[k, neg_c], int(n_pos[g]), mu, lambda_ig, lambda_ng, rng)
+
+        details: dict[int, NegativeSampleDetail] = {}
+        for g in draws.nonzero()[0].tolist():
+            k, c = divmod(g, stride)
+            details[g] = draw(g, SamplerRng(seed, scene.scene_id, iteration, k + 1, c).generator())
+            keep[k, details[g].selected] = True
+
+        class_list = classes.tolist()
+        neglected: dict[int, str] = {}
+        for g in (has_pos & (n_neg == 0)).nonzero()[0].tolist():
+            k, c = divmod(g, stride)
+            pos_c = (targets.assigned_class[k] == c).nonzero()[0]
+            kept = reselect_positives(pos_c, supervisors[k], c, int(centers[k, class_list.index(c)]), schedule.neglect)
+            # The rule returns pos_c itself unless it fires.
+            neglected[g] = "all positives" if kept is pos_c else "center only"
+            keep[k, pos_c] = False
+            keep[k, kept] = True
+
+        def balance() -> list[dict[int, ClassBalance]]:
+            records: list[dict[int, ClassBalance]] = [{} for _ in range(num_branches)]
+            for k in range(num_branches):
+                for c in class_list:
+                    g = k * stride + c
+                    n_p, n_q = int(n_pos[g]), int(n_neg[g])
+                    if n_p == 0:
+                        # Another class's identical center box absorbed this
+                        # class's proposals; there is nothing to balance.
+                        records[k][c] = ClassBalance(0, n_q, "absorbed")
+                    elif n_q == 0:
+                        records[k][c] = ClassBalance(n_p, 0, neglected[g])
+                    else:
+                        detail = details[g] if g in details else draw(g, None)
+                        records[k][c] = ClassBalance(n_p, n_q, "sampled", detail)
+            return records
+
+        neg_after = (keep & negative).sum(axis=1)
         targets = keep_selected(targets, keep)
-        zetas = zeta("finetune", num_proposals, np.count_nonzero(keep, axis=1))
+        zetas = zeta("finetune", num_proposals, keep.sum(axis=1))
 
     if method in ("pir_only", "opis"):
         attenuated = method == "opis" and schedule.phase == "finetune"
@@ -523,7 +554,7 @@ def supervise_scene(
         pos_selected=np.count_nonzero(targets.selected & targets.positive_mask(), axis=1),
         neg_before=neg_before,
         neg_after=neg_after,
-        balance=balance,
+        balance_records=balance,
     )
 
 
@@ -691,11 +722,9 @@ def _batch_indices(config: TrainConfig, n_scenes: int) -> np.ndarray:
     """Seeded epoch shuffles flattened into one consumption order."""
     need = config.total_iterations * config.batch_size
     chunks = []
-    epoch = 0
-    while sum(c.size for c in chunks) < need:
+    for epoch in range(-(-need // n_scenes)):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(_TAG_SHUFFLE, epoch)))
         chunks.append(rng.permutation(n_scenes))
-        epoch += 1
     return np.concatenate(chunks)[:need]
 
 

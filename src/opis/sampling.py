@@ -179,9 +179,10 @@ class SamplerRng:
 
 @dataclass
 class NegativeSampleDetail:
-    """Bookkeeping trace of one two-stage negative reselection."""
+    """Bookkeeping trace of one two-stage negative reselection; ``target`` is
+    floor(mu * n_pos), or ``inf`` when that product overflows."""
 
-    target: int
+    target: int | float
     bin_members: list[np.ndarray]
     stage1: list[np.ndarray]
     stage2: np.ndarray
@@ -210,9 +211,18 @@ def sample_negatives_detail(
     if neg_indices.size == 0:
         raise ValueError("sample_negatives requires a non-empty negative set")
 
-    target = math.floor(mu * n_pos)
     if lambda_ig >= lambda_ng:
         raise ValueError(f"need lambda_ig < lambda_ng, got ({lambda_ig}, {lambda_ng})")
+    return _binned_draw(neg_indices, neg_ious, n_pos, mu, lambda_ig, lambda_ng, rng)
+
+
+def _binned_draw(neg_indices: np.ndarray, neg_ious: np.ndarray, n_pos: int, mu: float, lambda_ig: float,
+                 lambda_ng: float, rng: np.random.Generator | None) -> NegativeSampleDetail:
+    """``sample_negatives_detail`` on checked int64 indices and float64 IoUs.
+    ``rng`` is read only when the target is below the supply."""
+    product = mu * n_pos
+    # An overflowing product is a target above every supply, not an error.
+    target = product if product == math.inf else math.floor(product)
     width = (lambda_ng - lambda_ig) / N_BINS
     bin_of = np.minimum(np.maximum(((neg_ious - lambda_ig) / width).astype(np.int64), 0), N_BINS - 1)
     bin_pos = [(bin_of == j).nonzero()[0] for j in range(N_BINS)]

@@ -103,6 +103,13 @@ class TestTrainCommand:
         assert (out / "resolved_config.ini").is_file()
         assert (out / "timing.csv").is_file()
 
+    def test_overflowing_negative_target_trains(self, tmp_path):
+        p = tmp_path / "huge.ini"
+        p.write_text(SMALL_CONFIG + "\n[sampler]\nmu_s = 1e308\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(p), "--out", str(out)]) == EXIT_OK
+        assert (out / "model.json").is_file()
+
     def test_byte_identical_reruns(self, config_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -306,6 +313,16 @@ class TestSampleDemoCommand:
         rc = main(["sample-demo", "--config", str(config_path), "--iteration", "0"])
         assert rc == EXIT_CONFIG
         assert "fine-tuning range" in capsys.readouterr().err
+
+    def test_overflowing_target_keeps_every_negative(self, tmp_path, capsys):
+        # floor(mu * n_pos) overflows for mu_s = 1e308, inside [4, inf).
+        p = tmp_path / "huge.ini"
+        p.write_text("[sampler]\nmu_s = 1e308\n")
+        assert main(["sample-demo", "--config", str(p)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "target=inf" in out
+        sampled = re.findall(r"n_neg=(\d+) target=inf\n(?:    .*\n)*?    selected \|N'\| = (\d+)", out)
+        assert sampled and all(n_neg == kept for n_neg, kept in sampled)
 
     @pytest.mark.parametrize("name,config_text,seed", [
         ("small_seed0", SMALL_CONFIG, "0"),  # neglect rule keeps the center only

@@ -2,6 +2,7 @@
 routing, and analytic-vs-numeric gradient agreement."""
 
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from opis.harness import (
     ToyModel,
     TrainConfig,
     TrainingDivergence,
+    _batch_indices,
     build_branch_supervision,
     class_prototypes,
     finite_diff_check,
@@ -212,6 +214,39 @@ class TestTraining:
         assert str(clone) == "non-finite loss at iteration 7"
         assert clone.iteration == 7
         assert clone.snapshot == {"loss_midn": float("inf")}
+
+
+def loop_batch_indices(config, n_scenes):
+    """Oracle: the consumption order built by re-summing the epoch chunks."""
+    need = config.total_iterations * config.batch_size
+    chunks = []
+    epoch = 0
+    while sum(c.size for c in chunks) < need:
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(3, epoch)))
+        chunks.append(rng.permutation(n_scenes))
+        epoch += 1
+    return np.concatenate(chunks)[:need]
+
+
+class TestBatchOrder:
+    @pytest.mark.parametrize("kw,n_scenes", [
+        (dict(), 12),
+        (dict(scenes_per_epoch=1, epochs=7, batch_size=2, iterations_override=None), 1),
+        (dict(scenes_per_epoch=5, epochs=3, batch_size=3, seed=4, iterations_override=None), 5),
+        (dict(iterations_override=9, batch_size=4, seed=2), 7),
+        (dict(scenes_per_epoch=10, epochs=2, batch_size=1, iterations_override=None), 10),
+    ])
+    def test_order_matches_the_summing_loop(self, kw, n_scenes):
+        cfg = small_train_config(**kw)
+        np.testing.assert_array_equal(_batch_indices(cfg, n_scenes), loop_batch_indices(cfg, n_scenes))
+
+    def test_many_epochs_build_in_linear_time(self):
+        # Re-summing every chunk per epoch makes this order quadratic: over 10 s.
+        cfg = small_train_config(scenes_per_epoch=1, epochs=20_000, batch_size=2, iterations_override=None)
+        start = time.perf_counter()
+        order = _batch_indices(cfg, 1)
+        assert time.perf_counter() - start < 2.0
+        assert order.size == 20_000 and not order.any()
 
 
 class TestGradientFidelity:
