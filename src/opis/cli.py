@@ -295,7 +295,7 @@ def cmd_sample_demo(args: argparse.Namespace) -> int:
             elif detail is None:
                 print(f"  class {c}: n_pos={rec.n_pos} n_neg=0 -> neglect rule keeps {rec.outcome}")
             else:
-                print(f"  class {c}: n_pos={rec.n_pos} n_neg={rec.n_neg} target={detail.target}")
+                print(f"  class {c}: n_pos={rec.n_pos} n_neg={rec.n_neg} target={detail.target:.15g}")
                 for j, (members, picked) in enumerate(zip(detail.bin_members, detail.stage1)):
                     lo = schedule.lambda_ig + j * width
                     print(f"    bin [{lo:.3f},{lo + width:.3f}): {members.size} negatives, stage-1 selected {picked.size}")

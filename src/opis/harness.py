@@ -14,7 +14,9 @@ import functools
 import json
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -120,7 +122,7 @@ class Scene:
 
     scene_id: int
     proposals: np.ndarray  # (P, 4)
-    features: np.ndarray  # (P, D), rows unit-norm
+    features: np.ndarray  # (P, D), rows unit-norm or zero
     image_label: np.ndarray  # (C,) 0/1
     gt_boxes: np.ndarray  # (G, 4), evaluation only
     gt_classes: np.ndarray  # (G,), 1-based, evaluation only
@@ -139,9 +141,9 @@ def class_prototypes(config: SceneConfig) -> np.ndarray:
     return q[:, : config.num_classes].T.copy()
 
 
-def _random_gt_boxes(config: SceneConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    w = rng.uniform(config.object_size_min, config.object_size_max, size=count)
-    h = rng.uniform(config.object_size_min, config.object_size_max, size=count)
+def _random_boxes(config: SceneConfig, rng: np.random.Generator, count: int, low: float, high: float) -> np.ndarray:
+    w = rng.uniform(low, high, size=count)
+    h = rng.uniform(low, high, size=count)
     cx = rng.uniform(w / 2, config.world_size - w / 2)
     cy = rng.uniform(h / 2, config.world_size - h / 2)
     return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
@@ -150,10 +152,7 @@ def _random_gt_boxes(config: SceneConfig, rng: np.random.Generator, count: int) 
 def _jittered_proposals(config: SceneConfig, rng: np.random.Generator, gt: np.ndarray, count: int) -> np.ndarray:
     owners = rng.integers(0, gt.shape[0], size=count)
     base = gt[owners]
-    scale = np.stack(
-        [base[:, 2] - base[:, 0], base[:, 3] - base[:, 1], base[:, 2] - base[:, 0], base[:, 3] - base[:, 1]],
-        axis=1,
-    )
+    scale = np.concatenate([base[:, 2:] - base[:, :2]] * 2, axis=1)  # (w, h, w, h) per box
     boxes = base + rng.normal(size=(count, 4)) * (config.jitter * scale)
     bad = (boxes[:, 2] <= boxes[:, 0]) | (boxes[:, 3] <= boxes[:, 1])
     while np.any(bad):
@@ -163,20 +162,12 @@ def _jittered_proposals(config: SceneConfig, rng: np.random.Generator, gt: np.nd
     return boxes
 
 
-def _clutter_proposals(config: SceneConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    w = rng.uniform(config.clutter_size_min, config.clutter_size_max, size=count)
-    h = rng.uniform(config.clutter_size_min, config.clutter_size_max, size=count)
-    cx = rng.uniform(w / 2, config.world_size - w / 2)
-    cy = rng.uniform(h / 2, config.world_size - h / 2)
-    return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
-
-
 def generate_scene(config: SceneConfig, rng: np.random.Generator, scene_id: int = 0) -> Scene:
     """Sample one scene; proposal sets are redrawn until every ground-truth
     object is covered by at least one proposal at the configured IoU."""
     n_obj = int(rng.integers(config.min_objects, config.max_objects + 1))
     gt_classes = rng.integers(1, config.num_classes + 1, size=n_obj).astype(np.int64)
-    gt_boxes = _random_gt_boxes(config, rng, n_obj)
+    gt_boxes = _random_boxes(config, rng, n_obj, config.object_size_min, config.object_size_max)
 
     n_clutter = int(round(config.num_proposals * config.clutter_rate))
     n_jitter = config.num_proposals - n_clutter
@@ -185,7 +176,7 @@ def generate_scene(config: SceneConfig, rng: np.random.Generator, scene_id: int 
         if n_jitter:
             parts.append(_jittered_proposals(config, rng, gt_boxes, n_jitter))
         if n_clutter:
-            parts.append(_clutter_proposals(config, rng, n_clutter))
+            parts.append(_random_boxes(config, rng, n_clutter, config.clutter_size_min, config.clutter_size_max))
         proposals = np.concatenate(parts, axis=0)
         overlap = pairwise_iou(gt_boxes, proposals).T
         if np.all(overlap.max(axis=0) >= config.coverage_iou):
@@ -199,7 +190,8 @@ def generate_scene(config: SceneConfig, rng: np.random.Generator, scene_id: int 
     protos = class_prototypes(config)
     features = best_iou[:, None] * protos[gt_classes[best_gt] - 1]
     features = features + rng.normal(size=features.shape) * (config.feature_noise / math.sqrt(config.feature_dim))
-    features /= np.linalg.norm(features, axis=1, keepdims=True)
+    # Noise-free features of a proposal that overlaps no object are zero, and stay so.
+    np.divide(features, norm := np.linalg.norm(features, axis=1, keepdims=True), out=features, where=norm > 0)
 
     label = np.zeros(config.num_classes, dtype=np.int8)
     label[gt_classes - 1] = 1
@@ -357,21 +349,41 @@ class ToyModel:
         )
 
 
+def _workspace(model: ToyModel, batch: int, num_proposals: int) -> SimpleNamespace:
+    """Buffers of stacked passes over B scenes of P proposals, made once per
+    ``train`` run: at P=600 several pass 128 KiB, which glibc maps afresh."""
+    c, k, p, rows = model.num_classes, model.num_branches, num_proposals, model.weights.shape[0]
+    return SimpleNamespace(features=np.empty((batch, p, model.feature_dim)), logits=np.empty((batch, rows, p)),
+                           supervisors=np.empty((batch, k, c + 1, p)), phi=np.empty((batch, k, c + 1, p)),
+                           dz=np.empty((batch, rows, p)), grads=np.empty((batch, model.flat.size)))
+
+
+def _score_stack(model: ToyModel, features: np.ndarray, logits: np.ndarray, phi0: np.ndarray,
+                 phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward pass of B scenes' (B, P, D) features in one matmul: ``logits``
+    (B, R, P), the composed MIDN scores plus a zero background row in ``phi0``
+    (B, C+1, P), the branch softmaxes in ``phi`` (B, K, C+1, P). Returns the
+    (B, C, P) MIDN stream softmaxes."""
+    c = model.num_classes
+    np.matmul(model.weights, features.transpose(0, 2, 1), out=logits)
+    logits += model.biases[:, None]
+    if not np.isfinite(logits).all():
+        raise ValueError("logits contains non-finite entries")
+    sc = softmax(logits[:, :c], axis=1)
+    sd = softmax(logits[:, c : 2 * c], axis=2)
+    np.multiply(sc, sd, out=phi0[:, :c])
+    phi0[:, c] = 0.0
+    softmax(logits[:, 2 * c :].reshape(phi.shape), axis=2, out=phi)
+    return sc, sd
+
+
 def forward(model: ToyModel, scene: Scene) -> ScoreSet:
     """Score every proposal with every head and compose the MIDN streams."""
     c, k, p = model.num_classes, model.num_branches, scene.num_proposals
-    logits = model.weights @ scene.features.T + model.biases[:, None]
-    if not np.isfinite(logits).all():
-        raise ValueError("logits contains non-finite entries")
-    x_cls, x_det = logits[:c], logits[c : 2 * c]
-    ref_logits = logits[2 * c :].reshape(k, c + 1, p)
-    sc = softmax(x_cls, axis=0)
-    sd = softmax(x_det, axis=1)
-    phis = np.empty((k + 1, c + 1, p))
-    x_r = np.multiply(sc, sd, out=phis[0, :c])
-    phis[0, c] = 0.0
-    softmax(ref_logits, axis=1, out=phis[1:])
-    return ScoreSet(x_cls=x_cls, x_det=x_det, class_probs=sc, det_probs=sd, x_r=x_r, phis=phis, ref_logits=ref_logits)
+    logits, phis = np.empty((1, model.weights.shape[0], p)), np.empty((k + 1, c + 1, p))
+    sc, sd = _score_stack(model, scene.features[None], logits, phis[None, 0], phis[None, 1:])
+    return ScoreSet(x_cls=logits[0, :c], x_det=logits[0, c : 2 * c], class_probs=sc[0], det_probs=sd[0],
+                    x_r=phis[0, :c], phis=phis, ref_logits=logits[0, 2 * c :].reshape(k, c + 1, p))
 
 
 @dataclass
@@ -408,7 +420,8 @@ class BranchSupervision:
 
 @dataclass
 class SceneSupervision(Sequence[BranchSupervision]):
-    """Supervision for all K branches of one scene, as (K, ...) arrays.
+    """Supervision for all K branches of one scene, as (K, ...) arrays; a
+    stacked pass over B scenes gives B*K rows, scene-major.
 
     Item k-1 is branch k's ``BranchSupervision``, whose targets are views of
     row k-1 of the stack. ``balance[k-1]`` is branch k's ``balance``; training
@@ -443,14 +456,8 @@ class SceneSupervision(Sequence[BranchSupervision]):
     def stack(cls, branches: Sequence[BranchSupervision]) -> "SceneSupervision":
         if isinstance(branches, SceneSupervision):
             return branches
-        t = [b.targets for b in branches]
-        targets = SupervisionTargets(
-            *[np.stack([getattr(x, name) for x in t])
-              for name in ("assigned_class", "max_iou", "source_class", "weight", "selected")],
-            num_classes=t[0].num_classes,
-        )
         return cls(
-            targets=targets,
+            targets=SupervisionTargets.concat([b.targets.as_stack() for b in branches]),
             zeta=np.array([b.zeta for b in branches]),
             pos_selected=np.array([b.pos_selected for b in branches]),
             neg_before=np.array([b.neg_before for b in branches]),
@@ -469,32 +476,42 @@ def supervise_scene(
 ) -> SceneSupervision:
     """Full supervision pipeline for all branches of one scene: assignment,
     progressive instance balance when active, then positive reweighting when
-    active.
+    active. Branch k is supervised by ``scores.phis[k-1]``. It is the one-scene
+    case of the stacked supervision that ``train`` runs per minibatch."""
+    return _supervise([scene], scores.supervisors[None], scores.phi, schedule, method, seed, iteration)
 
-    Branch k is supervised by ``scores.phis[k-1]``. Every stage works on the
-    scene's (K, P) arrays. Instance balance treats group k * (C+1) + c, class
-    c of branch k+1, as a whole: a group with positives keeps all of them,
-    unless it has no negatives and the neglect rule fires, and keeps all its
-    negatives unless its target floor(mu * n_pos) is below their supply. Only
-    then does it draw, on its own (scene, iteration, branch, class)
-    ``SamplerRng`` stream, so the draws are those of the per-class sampler.
+
+def _supervise(scenes: Sequence[Scene], supervisors: np.ndarray, phi: np.ndarray, schedule: ScheduleState | _Step,
+               method: str, seed: int, iteration: int) -> SceneSupervision:
+    """Supervision of B scenes' K branches as one (B*K, P) stack. Row b*K + k-1
+    is branch k of scene b, supervised by ``supervisors[b, k-1]``, with branch
+    softmax ``phi[b*K + k-1]``. Centers and assignment run per scene.
+
+    Instance balance treats group row * (C+1) + c, class c of a row, as a
+    whole: a group with positives keeps all of them, unless it has no
+    negatives and the neglect rule fires, and keeps all its negatives unless
+    its target floor(mu * n_pos) is below their supply. Only then does it
+    draw, on its own (scene, iteration, branch, class) ``SamplerRng`` stream,
+    so the draws are those of the per-class sampler.
     """
-    supervisors = scores.supervisors
-    num_branches, num_proposals = supervisors.shape[0], scene.num_proposals
-    classes, centers = cluster_center_indices(supervisors, scene.image_label)
-    targets = assign_branches(classes, centers, scene.proposals, supervisors, schedule.lambda_ig, schedule.lambda_ng)
+    num_branches, num_proposals = supervisors.shape[1], phi.shape[-1]
+    lambda_ig, lambda_ng = schedule.lambda_ig, schedule.lambda_ng
+    centered = [cluster_center_indices(sup, scene.image_label) for scene, sup in zip(scenes, supervisors)]
+    targets = SupervisionTargets.concat([assign_branches(classes, centers, scene.proposals, sup, lambda_ig, lambda_ng)
+                                         for (classes, centers), scene, sup in zip(centered, scenes, supervisors)])
     negative = targets.assigned_class == targets.num_classes + 1
+    rows = negative.shape[0]
     neg_before = np.count_nonzero(negative, axis=1)
     neg_after = neg_before
-    zetas = np.ones(num_branches)
+    zetas = np.ones(rows)
 
-    balance = lambda: [{} for _ in range(num_branches)]
+    balance = lambda: [{} for _ in range(rows)]
     if schedule.phase == "finetune" and method in ("pib_only", "opis"):
-        mu, lambda_ig, lambda_ng, stride = schedule.mu, schedule.lambda_ig, schedule.lambda_ng, targets.num_classes + 1
+        mu, stride = schedule.mu, targets.num_classes + 1
         labeled, source, max_iou = targets.assigned_class > 0, targets.source_class, targets.max_iou
-        group = source + stride * np.arange(num_branches)[:, None]
-        n_neg = np.bincount(group[negative], minlength=num_branches * stride)
-        n_pos = np.bincount(group[labeled], minlength=num_branches * stride) - n_neg
+        group = source + stride * np.arange(rows)[:, None]
+        n_neg = np.bincount(group[negative], minlength=rows * stride)
+        n_pos = np.bincount(group[labeled], minlength=rows * stride) - n_neg
         has_pos = n_pos > 0
         # Once mu > P >= n_neg, floor(mu * n_pos) >= n_neg for every n_pos >= 1,
         # so capping mu at P decides every group alike and cannot overflow.
@@ -502,42 +519,42 @@ def supervise_scene(
         keep = labeled & (~negative | (has_pos & ~draws)[group])
 
         def draw(g: int, rng: np.random.Generator | None) -> NegativeSampleDetail:
-            k, c = divmod(g, stride)
-            neg_c = (negative[k] & (source[k] == c)).nonzero()[0]
-            return _binned_draw(neg_c, max_iou[k, neg_c], int(n_pos[g]), mu, lambda_ig, lambda_ng, rng)
+            row, c = divmod(g, stride)
+            neg_c = (negative[row] & (source[row] == c)).nonzero()[0]
+            return _binned_draw(neg_c, max_iou[row, neg_c], int(n_pos[g]), mu, lambda_ig, lambda_ng, rng)
 
         details: dict[int, NegativeSampleDetail] = {}
         for g in draws.nonzero()[0].tolist():
-            k, c = divmod(g, stride)
-            details[g] = draw(g, SamplerRng(seed, scene.scene_id, iteration, k + 1, c).generator())
-            keep[k, details[g].selected] = True
+            (b, k), c = divmod(g // stride, num_branches), g % stride
+            details[g] = draw(g, SamplerRng(seed, scenes[b].scene_id, iteration, k + 1, c).generator())
+            keep[g // stride, details[g].selected] = True
 
-        class_list = classes.tolist()
         neglected: dict[int, str] = {}
         for g in (has_pos & (n_neg == 0)).nonzero()[0].tolist():
-            k, c = divmod(g, stride)
-            pos_c = (targets.assigned_class[k] == c).nonzero()[0]
-            kept = reselect_positives(pos_c, supervisors[k], c, int(centers[k, class_list.index(c)]), schedule.neglect)
+            (b, k), c = divmod(g // stride, num_branches), g % stride
+            pos_c = (targets.assigned_class[g // stride] == c).nonzero()[0]
+            center = int(centered[b][1][k, np.searchsorted(centered[b][0], c)])
+            kept = reselect_positives(pos_c, supervisors[b, k], c, center, schedule.neglect)
             # The rule returns pos_c itself unless it fires.
             neglected[g] = "all positives" if kept is pos_c else "center only"
-            keep[k, pos_c] = False
-            keep[k, kept] = True
+            keep[g // stride, pos_c] = False
+            keep[g // stride, kept] = True
 
         def balance() -> list[dict[int, ClassBalance]]:
-            records: list[dict[int, ClassBalance]] = [{} for _ in range(num_branches)]
-            for k in range(num_branches):
-                for c in class_list:
-                    g = k * stride + c
+            records: list[dict[int, ClassBalance]] = [{} for _ in range(rows)]
+            for row in range(rows):
+                for c in centered[row // num_branches][0].tolist():
+                    g = row * stride + c
                     n_p, n_q = int(n_pos[g]), int(n_neg[g])
                     if n_p == 0:
                         # Another class's identical center box absorbed this
                         # class's proposals; there is nothing to balance.
-                        records[k][c] = ClassBalance(0, n_q, "absorbed")
+                        records[row][c] = ClassBalance(0, n_q, "absorbed")
                     elif n_q == 0:
-                        records[k][c] = ClassBalance(n_p, 0, neglected[g])
+                        records[row][c] = ClassBalance(n_p, 0, neglected[g])
                     else:
                         detail = details[g] if g in details else draw(g, None)
-                        records[k][c] = ClassBalance(n_p, n_q, "sampled", detail)
+                        records[row][c] = ClassBalance(n_p, n_q, "sampled", detail)
             return records
 
         neg_after = (keep & negative).sum(axis=1)
@@ -546,7 +563,7 @@ def supervise_scene(
 
     if method in ("pir_only", "opis"):
         attenuated = method == "opis" and schedule.phase == "finetune"
-        targets = reweight_branch(targets, scores.phi, schedule, attenuated=attenuated)
+        targets = reweight_branch(targets, phi, schedule, attenuated=attenuated)
 
     return SceneSupervision(
         targets=targets,
@@ -588,33 +605,44 @@ def scene_pass(
     through the live softmax scores only. Passing ``frozen`` supervision reuses
     targets from a previous pass (used by the finite-difference checker). The
     gradient comes back in the model's layout: ``grads.flat`` matches
-    ``model.flat`` and ``grads["w_cls"]`` names one parameter.
+    ``model.flat`` and ``grads["w_cls"]`` names one parameter. This is the
+    one-scene case of the stacked step ``train`` runs per minibatch.
     """
-    scores = forward(model, scene)
-    y_raw = image_scores(scores.x_r)
-    loss_midn = midn_loss(y_raw, scene.image_label)
-    if frozen is None:
-        sup = supervise_scene(scene, scores, schedule, method, seed, iteration)
-    else:
-        sup = SceneSupervision.stack(frozen)
-    ref_losses = refinement_losses(sup.targets, scores.phi, sup.zeta)
+    ws = _workspace(model, 1, scene.num_proposals)
+    midn, ref_losses, sup = _batch_pass(model, [scene], schedule, method, seed, iteration, ws, frozen, want_grads)
+    grads = ToyModel.from_flat(ws.grads[0], model.num_classes, model.feature_dim, model.num_branches)
+    return float(midn[0]), ref_losses, sup, grads if want_grads else None
+
+
+def _batch_pass(model: ToyModel, scenes: Sequence[Scene], schedule: ScheduleState | _Step, method: str, seed: int,
+                iteration: int, ws: SimpleNamespace, frozen: Sequence[BranchSupervision] | None = None,
+                want_grads: bool = True) -> tuple[np.ndarray, list[float], SceneSupervision]:
+    """``scene_pass`` of B scenes of one proposal count, in the buffers ``ws``:
+    the (B,) MIDN losses, the B*K refinement losses and (B*K, P) supervision,
+    scene-major; row b of ``ws.grads`` is scene b's gradient."""
+    c, k, b = model.num_classes, model.num_branches, len(scenes)
+    np.concatenate([scene.features for scene in scenes], out=ws.features.reshape(-1, model.feature_dim))
+    labels = np.array([scene.image_label for scene in scenes])
+    sc, sd = _score_stack(model, ws.features, ws.logits, ws.supervisors[:, 0], ws.phi)
+    ws.supervisors[:, 1:] = ws.phi[:, :-1]
+    phi = ws.phi.reshape(b * k, c + 1, -1)
+    y_raw = image_scores(ws.supervisors[:, 0, :c])
+    sup = (_supervise(scenes, ws.supervisors, phi, schedule, method, seed, iteration) if frozen is None
+           else SceneSupervision.stack(frozen))
+    results = midn_loss(y_raw, labels), refinement_losses(sup.targets, phi, sup.zeta), sup
     if not want_grads:
-        return loss_midn, ref_losses, sup, None
+        return results
 
     # d(loss)/d(logits) for every head, in the row order of model.weights.
-    c, k, p = model.num_classes, model.num_branches, scene.num_proposals
-    dz = np.empty((model.weights.shape[0], p))
-    g_y = midn_loss_grad(y_raw, scene.image_label)[:, None]
-    sc, sd = scores.class_probs, scores.det_probs
-    d_sc = g_y * sd
-    d_sd = g_y * sc
-    np.multiply(sc, d_sc - (d_sc * sc).sum(axis=0, keepdims=True), out=dz[:c])
-    np.multiply(sd, d_sd - (d_sd * sd).sum(axis=1, keepdims=True), out=dz[c : 2 * c])
-    refinement_grads(sup.targets, scores.phi, sup.zeta, out=dz[2 * c :].reshape(k, c + 1, p))
-    grads = ToyModel.from_flat(np.empty_like(model.flat), c, model.feature_dim, k)
-    np.matmul(dz, scene.features, out=grads.weights)
-    np.sum(dz, axis=1, out=grads.biases)
-    return loss_midn, ref_losses, sup, grads
+    dz, rows = ws.dz, model.weights.shape[0]
+    g_y = midn_loss_grad(y_raw, labels)[..., None]
+    d_sc, d_sd = g_y * sd, g_y * sc
+    np.multiply(sc, d_sc - (d_sc * sc).sum(axis=1, keepdims=True), out=dz[:, :c])
+    np.multiply(sd, d_sd - (d_sd * sd).sum(axis=2, keepdims=True), out=dz[:, c : 2 * c])
+    refinement_grads(sup.targets, ws.phi, sup.zeta, out=dz[:, 2 * c :].reshape(ws.phi.shape))
+    np.matmul(dz, ws.features, out=ws.grads[:, : rows * model.feature_dim].reshape(b, rows, -1))
+    np.sum(dz, axis=2, out=ws.grads[:, rows * model.feature_dim :])
+    return results
 
 
 @dataclass(frozen=True)
@@ -728,6 +756,22 @@ def _batch_indices(config: TrainConfig, n_scenes: int) -> np.ndarray:
     return np.concatenate(chunks)[:need]
 
 
+# One iteration of a run's plan: what supervision reads of a ScheduleState, and the learning rate.
+_Step = namedtuple("_Step", "phase t_progress mu neglect learning_rate lambda_ig lambda_ng beta gamma")
+
+
+def _plan(config: TrainConfig) -> list[_Step]:
+    """Every iteration's schedule, each value that of ``config.schedule(iteration)`` bit for bit."""
+    n, t_0 = config.total_iterations, config.t_0
+    t = np.arange(n)
+    finetune = t >= t_0
+    progress = np.where(finetune, (t - t_0) / (n - t_0), 0.0)
+    columns = (np.where(finetune, "finetune", "normal"), progress, config.mu_s - (config.mu_s - 4.0) * progress,
+               config.i_0 + config.alpha * t / n, config.learning_rate * np.where(finetune, config.lr_decay, 1.0))
+    fixed = (config.lambda_ig, config.lambda_ng, config.beta, config.gamma)
+    return [_Step(*row, *fixed) for row in zip(*(column.tolist() for column in columns))]
+
+
 def train(config: TrainConfig, dataset: Sequence[Scene]) -> tuple[ToyModel, TrainLog]:
     """Two-phase SGD training of the toy model on a scene dataset.
 
@@ -735,81 +779,64 @@ def train(config: TrainConfig, dataset: Sequence[Scene]) -> tuple[ToyModel, Trai
     it); from iteration t_0 on, instance balance and the attenuated reweighting
     kick in per the method flag, and the learning rate steps down once.
     Parameters, velocity and the gradient sum are each one flat buffer.
+
+    The batch order and every iteration's schedule are planned before the
+    loop. Each iteration is one stacked step over its B scenes, in buffers
+    made once per run, so every scene must have the same proposal count. Each
+    scene's losses and gradient equal its ``scene_pass``'s, summed in order.
     """
     if len(dataset) == 0:
         raise ValueError("dataset must not be empty")
-    scene0 = dataset[0]
-    model = ToyModel.initialize(
-        num_classes=scene0.image_label.shape[0],
-        feature_dim=scene0.features.shape[1],
-        num_branches=config.refinements,
-        seed=config.seed,
-        init_scale=config.init_scale,
-    )
+    counts = sorted({scene.num_proposals for scene in dataset})
+    if len(counts) > 1:
+        raise ValueError(f"every scene of a dataset needs the same proposal count, got counts {counts}")
+    model = ToyModel.initialize(dataset[0].image_label.shape[0], dataset[0].features.shape[1], config.refinements,
+                                config.seed, config.init_scale)
     params = model.flat
     velocity = np.zeros_like(params)
     grad_sum = np.empty_like(params)
-    order = _batch_indices(config, len(dataset))
+    batches = _batch_indices(config, len(dataset)).reshape(-1, config.batch_size).tolist()
+    ws = _workspace(model, config.batch_size, counts[0])
     log = TrainLog(num_branches=config.refinements)
-    inv_b = 1.0 / config.batch_size
+    inv_b, k = 1.0 / config.batch_size, config.refinements
 
-    for it in range(config.total_iterations):
+    for it, (step, batch) in enumerate(zip(_plan(config), batches)):
         start = time.perf_counter()
         if not model.all_finite():
             raise TrainingDivergence("model parameters became non-finite", it)
-        schedule = config.schedule(it)
-        batch = order[it * config.batch_size : (it + 1) * config.batch_size]
+        try:
+            losses_midn, ref_losses, sup = _batch_pass(model, [dataset[i] for i in batch], step, config.method,
+                                                       config.seed, it, ws)
+        except ValueError as exc:
+            # Finite parameters can still overflow inside the forward pass.
+            raise TrainingDivergence(f"non-finite values while scoring: {exc}", it) from exc
 
         loss_midn_sum = 0.0
-        ref_sums = np.zeros(config.refinements)
+        ref_sums = np.zeros(k)
         grad_sum.fill(0.0)
-        zetas: list[np.ndarray] = []
-        pos_count = neg_before = neg_after = 0
-        for scene_idx in batch:
-            scene = dataset[int(scene_idx)]
-            try:
-                lm, lrefs, sup, grads = scene_pass(model, scene, schedule, config.method, config.seed, it)
-            except ValueError as exc:
-                # Finite parameters can still overflow inside the forward pass.
-                raise TrainingDivergence(f"non-finite values while scoring: {exc}", it) from exc
+        for i, lm in enumerate(losses_midn.tolist()):
             loss_midn_sum += lm
-            ref_sums += lrefs
-            grad_sum += grads.flat
-            zetas.append(sup.zeta)
-            pos_count += int(sup.pos_selected.sum())
-            neg_before += int(sup.neg_before.sum())
-            neg_after += int(sup.neg_after.sum())
+            ref_sums += ref_losses[i * k : (i + 1) * k]
+            grad_sum += ws.grads[i]
 
         loss_midn_mean = loss_midn_sum * inv_b
         ref_means = ref_sums * inv_b
         loss = total_loss(loss_midn_mean, ref_means.tolist())
         if not math.isfinite(loss):
-            raise TrainingDivergence(
-                f"non-finite loss at iteration {it}",
-                it,
-                snapshot={"loss_midn": loss_midn_mean, "loss_refs": ref_means.tolist()},
-            )
+            raise TrainingDivergence(f"non-finite loss at iteration {it}", it,
+                                     snapshot={"loss_midn": loss_midn_mean, "loss_refs": ref_means.tolist()})
 
-        lr = config.learning_rate * (config.lr_decay if schedule.phase == "finetune" else 1.0)
         velocity *= config.momentum
         velocity += grad_sum * inv_b + config.weight_decay * params
-        params -= lr * velocity
+        params -= step.learning_rate * velocity
 
-        log.records.append(
-            IterationRecord(
-                iteration=it,
-                phase=schedule.phase,
-                t_progress=schedule.t_progress,
-                mu=schedule.mu,
-                zeta_mean=float(np.mean(np.concatenate(zetas))),
-                loss_midn=loss_midn_mean,
-                loss_refs=tuple(ref_means.tolist()),
-                pos_count=pos_count,
-                neg_before=neg_before,
-                neg_after=neg_after,
-                wallclock_ms=(time.perf_counter() - start) * 1e3,
-            )
-        )
+        log.records.append(IterationRecord(
+            iteration=it, phase=step.phase, t_progress=step.t_progress, mu=step.mu,
+            zeta_mean=float(sup.zeta.sum() / sup.zeta.size),  # np.mean's bits, without its overhead
+            loss_midn=loss_midn_mean, loss_refs=tuple(ref_means.tolist()), pos_count=int(sup.pos_selected.sum()),
+            neg_before=int(sup.neg_before.sum()), neg_after=int(sup.neg_after.sum()),
+            wallclock_ms=(time.perf_counter() - start) * 1e3,
+        ))
     return model, log
 
 

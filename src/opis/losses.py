@@ -78,14 +78,16 @@ def refinement_grads(
 ) -> np.ndarray:
     """Gradient of ``refinement_losses`` with respect to the pre-softmax logits.
 
-    ``phi`` is the (K, C+1, P) softmax of those logits. Column r of branch k
-    is (zeta_k * w_r / P) * (phi_k[:, r] - onehot); weight-zero proposals give
-    zero columns. Written into ``out`` when given.
+    ``phi`` is the (K, C+1, P) softmax of those logits; its leading axis may
+    be split, as (B, K', C+1, P) for a B*K' stack, and the gradient takes its
+    shape. Column r of branch k is (zeta_k * w_r / P) * (phi_k[:, r] - onehot);
+    weight-zero proposals give zero columns. Written into ``out`` when given.
     """
-    coef = np.where(targets.assigned_class > 0, targets.weight, 0.0) * (zetas[:, None] / targets.num_proposals)
-    grad = np.multiply(phi, coef[:, None, :], out=out)
+    lead, p = phi.shape[:-2], targets.num_proposals
+    coef = np.where(targets.assigned_class > 0, targets.weight, 0.0) * (zetas[:, None] / p)
+    grad = np.multiply(phi, coef.reshape(*lead, 1, p), out=out)
     branch, col = (coef > 0.0).nonzero()
-    grad[branch, targets.assigned_class[branch, col] - 1, col] -= coef[branch, col]
+    grad[(*np.unravel_index(branch, lead), targets.assigned_class[branch, col] - 1, col)] -= coef[branch, col]
     return grad
 
 

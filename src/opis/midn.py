@@ -63,22 +63,24 @@ def compose_instance_scores(class_probs: np.ndarray, det_probs: np.ndarray) -> n
 
 
 def image_scores(instance_scores: np.ndarray) -> np.ndarray:
-    """Per-class image-level score: sum of composed scores over proposals."""
-    return np.asarray(instance_scores, dtype=np.float64).sum(axis=1)
+    """Per-class image-level score: sum of composed scores over proposals
+    (the last axis, so a (B, C, P) stack gives (B, C))."""
+    return np.asarray(instance_scores, dtype=np.float64).sum(axis=-1)
 
 
 def midn_loss(y_pred: np.ndarray, y_true: np.ndarray, eps: float = SCORE_EPS) -> float:
     """Multi-label binary cross-entropy over image-level class scores.
 
     Predictions are clamped into [eps, 1 - eps] before the logs, so the loss is
-    finite for any input in [0, 1].
+    finite for any input in [0, 1]. A (B, C) stack gives the (B,) losses.
     """
     p = np.asarray(y_pred, dtype=np.float64)
     y = np.asarray(y_true, dtype=np.float64)
     if p.shape != y.shape:
         raise ValueError(f"prediction/label shapes differ: {p.shape} vs {y.shape}")
     pc = np.minimum(np.maximum(p, eps), 1.0 - eps)
-    return float(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).sum())
+    loss = -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).sum(axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def midn_loss_grad(y_pred: np.ndarray, y_true: np.ndarray, eps: float = SCORE_EPS) -> np.ndarray:

@@ -60,6 +60,15 @@ class SupervisionTargets:
         return SupervisionTargets(self.assigned_class[None], self.max_iou[None], self.source_class[None],
                                   self.weight[None], self.selected[None], self.num_classes)
 
+    @classmethod
+    def concat(cls, stacks: Sequence["SupervisionTargets"]) -> "SupervisionTargets":
+        """Stacks joined along the branch axis; one stack comes back as is."""
+        if len(stacks) == 1:
+            return stacks[0]
+        names = ("assigned_class", "max_iou", "source_class", "weight", "selected")
+        return cls(*[np.concatenate([getattr(t, name) for t in stacks]) for name in names],
+                   num_classes=stacks[0].num_classes)
+
     def with_weight(self, weight: np.ndarray, selected: np.ndarray | None = None) -> "SupervisionTargets":
         """The same labels with a new weight (and selection mask)."""
         return SupervisionTargets(self.assigned_class, self.max_iou, self.source_class, weight,

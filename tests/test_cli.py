@@ -324,6 +324,15 @@ class TestSampleDemoCommand:
         sampled = re.findall(r"n_neg=(\d+) target=inf\n(?:    .*\n)*?    selected \|N'\| = (\d+)", out)
         assert sampled and all(n_neg == kept for n_neg, kept in sampled)
 
+    def test_huge_finite_target_prints_short(self, tmp_path, capsys):
+        # floor(mu * n_pos) for n_pos = 1 is a finite 309-digit integer.
+        p = tmp_path / "huge.ini"
+        p.write_text("[data]\nnum_classes = 3\nfeature_dim = 8\nnum_proposals = 40\n[sampler]\nmu_s = 1e308\n")
+        assert main(["sample-demo", "--config", str(p), "--seed", "0"]) == EXIT_OK
+        targets = re.findall(r"n_pos=(\d+) n_neg=\d+ target=(\S+)\n", capsys.readouterr().out)
+        assert ("1", "1e+308") in targets
+        assert all(len(target) <= 15 for _, target in targets)
+
     @pytest.mark.parametrize("name,config_text,seed", [
         ("small_seed0", SMALL_CONFIG, "0"),  # neglect rule keeps the center only
         ("small_seed24", SMALL_CONFIG, "24"),  # an absorbed center
@@ -472,3 +481,19 @@ def test_readme_config_block_gives_every_interval():
     comments = dict(re.findall(r"^(\w+) = [^;\n]*;(.*)$", _readme_ini(), flags=re.M))
     for key, spec in INTERVALS.items():
         assert f"in {spec}" in comments.get(key, ""), key
+
+
+NOISE_FREE = "[data]\nfeature_noise = 0\n\n[train]\nscenes_per_epoch = 6\nepochs = 2\neval_scenes = 3\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_noise_free_world_runs_every_command(tmp_path, capsys):
+    """feature_noise = 0 lies in its interval; clutter proposals then have
+    zero features, which no command may divide by their norm."""
+    p = tmp_path / "noise_free.ini"
+    p.write_text(NOISE_FREE)
+    run, model = tmp_path / "run", str(tmp_path / "run" / "model.json")
+    assert main(["train", "--config", str(p), "--out", str(run)]) == EXIT_OK
+    assert main(["eval", "--config", str(p), "--model", model, "--out", str(tmp_path / "e")]) == EXIT_OK
+    assert main(["sample-demo", "--config", str(p)]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err

@@ -2,6 +2,7 @@
 routing, and analytic-vs-numeric gradient agreement."""
 
 import pickle
+import resource
 import time
 
 import numpy as np
@@ -70,6 +71,15 @@ class TestSceneGeneration:
             present = np.flatnonzero(s.image_label) + 1
             assert set(present) == set(s.gt_classes.tolist())
             assert s.image_label.sum() >= 1
+
+    def test_noise_free_features_are_unit_or_zero(self):
+        cfg = SceneConfig(feature_noise=0.0)
+        for i in range(5):
+            s = generate_scene(cfg, rng_for(14, 1, i))
+            overlap = pairwise_iou(s.gt_boxes, s.proposals).max(axis=0)
+            norms = np.linalg.norm(s.features, axis=1)
+            np.testing.assert_array_equal(norms[overlap == 0.0], 0.0)
+            np.testing.assert_allclose(norms[overlap > 0.0], 1.0, atol=1e-12)
 
     def test_features_unit_norm(self):
         s = generate_scene(SMALL_SCENE, rng_for(7, 1, 0))
@@ -206,6 +216,19 @@ class TestTraining:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train(small_train_config(), [])
+
+    def test_warm_wide_run_faults_in_few_pages(self):
+        """The stacked step's large arrays live in per-run buffers, so a warm
+        P=600 run faults in little more than those buffers once, and not its
+        arrays again at every iteration."""
+        scene = SceneConfig(num_proposals=600)
+        cfg = TrainConfig(seed=0, method="baseline", scenes_per_epoch=4, iterations_override=150, scene=scene)
+        ds = generate_dataset(scene, 0, cfg.scenes_per_epoch)
+        train(cfg, ds)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train(cfg, ds)
+        per_iteration = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / cfg.total_iterations
+        assert per_iteration <= 4.0
 
     def test_divergence_pickle_round_trip(self):
         exc = TrainingDivergence("non-finite loss at iteration 7", 7, snapshot={"loss_midn": float("inf")})

@@ -4,10 +4,13 @@ Each drawn scene runs through ``scene_pass``, which supervises all of a
 scene's branches at once, and every branch is checked against a pipeline
 assembled from the single-branch public functions. Instance balance is also
 checked against the per-(branch, class) loop it replaced, kept here verbatim
-as an oracle.
+as an oracle, and ``train``'s stacked minibatch step against the per-scene
+training loop it replaced, kept the same way.
 """
 
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,16 +20,23 @@ from hypothesis import strategies as st
 from opis.harness import (
     METHODS,
     ClassBalance,
+    IterationRecord,
     Scene,
     SceneConfig,
     ToyModel,
+    TrainConfig,
+    TrainingDivergence,
+    TrainLog,
+    _batch_indices,
+    generate_dataset,
+    train,
     build_branch_supervision,
     forward,
     generate_scene,
     scene_pass,
     supervise_scene,
 )
-from opis.losses import zeta
+from opis.losses import total_loss, zeta
 from opis.reweighting import reweight_branch
 from opis.sampling import (
     SamplerRng,
@@ -402,3 +412,136 @@ def test_balance_records_do_not_depend_on_read_order():
     assert_same_records(balance, branches_first.balance)
     assert_same_records(balance, [b.balance for b in branches])
     assert [b.balance for b in records_first] == balance
+
+
+def loop_train(config, dataset):
+    """Oracle: ``train`` as the per-scene loop it replaced, one ``scene_pass``
+    per scene and one ``ScheduleState`` per iteration."""
+    if len(dataset) == 0:
+        raise ValueError("dataset must not be empty")
+    scene0 = dataset[0]
+    model = ToyModel.initialize(
+        num_classes=scene0.image_label.shape[0],
+        feature_dim=scene0.features.shape[1],
+        num_branches=config.refinements,
+        seed=config.seed,
+        init_scale=config.init_scale,
+    )
+    params = model.flat
+    velocity = np.zeros_like(params)
+    grad_sum = np.empty_like(params)
+    order = _batch_indices(config, len(dataset))
+    log = TrainLog(num_branches=config.refinements)
+    inv_b = 1.0 / config.batch_size
+
+    for it in range(config.total_iterations):
+        start = time.perf_counter()
+        if not model.all_finite():
+            raise TrainingDivergence("model parameters became non-finite", it)
+        schedule = config.schedule(it)
+        batch = order[it * config.batch_size : (it + 1) * config.batch_size]
+
+        loss_midn_sum = 0.0
+        ref_sums = np.zeros(config.refinements)
+        grad_sum.fill(0.0)
+        zetas: list[np.ndarray] = []
+        pos_count = neg_before = neg_after = 0
+        for scene_idx in batch:
+            scene = dataset[int(scene_idx)]
+            try:
+                lm, lrefs, sup, grads = scene_pass(model, scene, schedule, config.method, config.seed, it)
+            except ValueError as exc:
+                # Finite parameters can still overflow inside the forward pass.
+                raise TrainingDivergence(f"non-finite values while scoring: {exc}", it) from exc
+            loss_midn_sum += lm
+            ref_sums += lrefs
+            grad_sum += grads.flat
+            zetas.append(sup.zeta)
+            pos_count += int(sup.pos_selected.sum())
+            neg_before += int(sup.neg_before.sum())
+            neg_after += int(sup.neg_after.sum())
+
+        loss_midn_mean = loss_midn_sum * inv_b
+        ref_means = ref_sums * inv_b
+        loss = total_loss(loss_midn_mean, ref_means.tolist())
+        if not math.isfinite(loss):
+            raise TrainingDivergence(
+                f"non-finite loss at iteration {it}",
+                it,
+                snapshot={"loss_midn": loss_midn_mean, "loss_refs": ref_means.tolist()},
+            )
+
+        lr = config.learning_rate * (config.lr_decay if schedule.phase == "finetune" else 1.0)
+        velocity *= config.momentum
+        velocity += grad_sum * inv_b + config.weight_decay * params
+        params -= lr * velocity
+
+        log.records.append(
+            IterationRecord(
+                iteration=it,
+                phase=schedule.phase,
+                t_progress=schedule.t_progress,
+                mu=schedule.mu,
+                zeta_mean=float(np.mean(np.concatenate(zetas))),
+                loss_midn=loss_midn_mean,
+                loss_refs=tuple(ref_means.tolist()),
+                pos_count=pos_count,
+                neg_before=neg_before,
+                neg_after=neg_after,
+                wallclock_ms=(time.perf_counter() - start) * 1e3,
+            )
+        )
+    return model, log
+
+
+def assert_trains_like_the_loop(config, dataset):
+    """``train`` equals the loop oracle bit for bit; returns its log."""
+    model, log = train(config, dataset)
+    want_model, want_log = loop_train(config, dataset)
+    assert log.rows() == want_log.rows()
+    assert model.flat.tobytes() == want_model.flat.tobytes()
+    return log
+
+
+# (batch size, proposals, branches): every B in {1, 2, 3}, P in {40, 150, 600}
+# and K in {1, 3}, under every method.
+STEP_SHAPES = [(1, 40, 3), (2, 150, 1), (3, 600, 3), (2, 40, 1), (3, 150, 3)]
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("batch_size,num_proposals,refinements", STEP_SHAPES)
+def test_stacked_step_matches_the_per_scene_loop(method, batch_size, num_proposals, refinements):
+    """Every iteration's log row and the final parameters, in both phases,
+    at mu_s = 4, where instance balance draws most."""
+    scene = SceneConfig(num_classes=3, feature_dim=8, num_proposals=num_proposals)
+    config = TrainConfig(seed=batch_size, method=method, scenes_per_epoch=7, batch_size=batch_size,
+                         iterations_override=8, t0_fraction=0.5, refinements=refinements, mu_s=4.0,
+                         learning_rate=0.3, scene=scene)
+    log = assert_trains_like_the_loop(config, generate_dataset(scene, config.seed, config.scenes_per_epoch))
+    assert {r.phase for r in log.records} == {"normal", "finetune"}
+    if method in ("pib_only", "opis"):
+        assert any(r.neg_after < r.neg_before for r in log.records)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_stacked_step_matches_the_loop_on_a_repeated_scene(method):
+    """One scene, two copies per batch: both copies draw on the same streams."""
+    scene = SceneConfig(num_classes=3, feature_dim=8, num_proposals=40)
+    config = TrainConfig(seed=5, method=method, scenes_per_epoch=1, batch_size=2, iterations_override=10,
+                         t0_fraction=0.3, mu_s=4.0, refinements=2, scene=scene)
+    assert_trains_like_the_loop(config, generate_dataset(scene, config.seed, 1))
+
+
+def test_stacked_step_matches_the_loop_at_default_scale():
+    config = TrainConfig(seed=2, method="opis", scenes_per_epoch=20, iterations_override=30, t0_fraction=0.4)
+    dataset = generate_dataset(config.scene, config.seed, config.scenes_per_epoch)
+    assert_trains_like_the_loop(config, dataset)
+    assert_trains_like_the_loop(replace(config, method="pib_only", t0_fraction=0.1), dataset)
+
+
+def test_mixed_proposal_counts_rejected():
+    small = SceneConfig(num_classes=3, feature_dim=8, num_proposals=30)
+    dataset = generate_dataset(small, 0, 2) + generate_dataset(replace(small, num_proposals=40), 0, 2)
+    config = TrainConfig(method="opis", scenes_per_epoch=4, iterations_override=4, scene=small)
+    with pytest.raises(ValueError, match=r"proposal count.*\[30, 40\]"):
+        train(config, dataset)
