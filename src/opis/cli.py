@@ -143,6 +143,12 @@ def _worker_count(cells: int) -> int:
     return max(1, min(limit, cells))
 
 
+def _seed_flag(flag: str, seed: int) -> int:
+    if seed < 0:
+        raise ConfigError(f"{flag} must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _dataset(scene: SceneConfig, seed: int, count: int) -> list[Scene]:
     try:
         return generate_dataset(scene, seed, count)
@@ -199,7 +205,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     model = _load_model(args.model, config)
-    dataset_seed = args.dataset_seed if args.dataset_seed is not None else config.eval_seed
+    dataset_seed = config.eval_seed if args.dataset_seed is None else _seed_flag("--dataset-seed", args.dataset_seed)
     scenes = _dataset(config.scene, dataset_seed, config.eval_scenes)
     report, records = evaluate_scenes(model, scenes, nms_iou=config.nms_iou, score_floor=config.score_floor)
     out = Path(args.out)
@@ -222,6 +228,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ConfigError(f"seeds must be a comma-separated list of integers, got {args.seeds!r}") from exc
     if not methods or not seeds:
         raise ConfigError("need at least one method and one seed")
+    # Check every cell here, before any worker starts: each must run once.
+    for flag, items in (("--methods", methods), ("--seeds", [_seed_flag("--seeds", s) for s in seeds])):
+        if len(set(items)) < len(items):
+            raise ConfigError(f"{flag} lists an entry twice, got {','.join(map(str, items))}")
 
     cells = [(config, m, s) for m in methods for s in seeds]
     workers = _worker_count(len(cells))
@@ -251,6 +261,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    _seed_flag("--seed", args.seed)
     scene_cfg = SceneConfig(num_classes=3, feature_dim=8, num_proposals=24, clutter_rate=0.25)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(99,)))
     scene = generate_scene(scene_cfg, rng, scene_id=0)

@@ -132,21 +132,28 @@ class Scene:
         return self.proposals.shape[0]
 
 
+@functools.cache
+def _prototypes(prototype_seed: int, feature_dim: int, num_classes: int) -> np.ndarray:
+    """One world's prototypes, computed once per process and read-only."""
+    rng = np.random.default_rng(np.random.SeedSequence(prototype_seed, spawn_key=(_TAG_PROTOTYPES,)))
+    protos = np.linalg.qr(rng.normal(size=(feature_dim, num_classes)))[0][:, :num_classes].T.copy()
+    protos.flags.writeable = False
+    return protos
+
+
 def class_prototypes(config: SceneConfig) -> np.ndarray:
     """Fixed orthonormal feature direction per class, shared by all scenes."""
-    ss = np.random.SeedSequence(config.prototype_seed, spawn_key=(_TAG_PROTOTYPES,))
-    rng = np.random.default_rng(ss)
-    g = rng.normal(size=(config.feature_dim, config.num_classes))
-    q, _ = np.linalg.qr(g)
-    return q[:, : config.num_classes].T.copy()
+    return _prototypes(config.prototype_seed, config.feature_dim, config.num_classes).copy()
 
 
 def _random_boxes(config: SceneConfig, rng: np.random.Generator, count: int, low: float, high: float) -> np.ndarray:
-    w = rng.uniform(low, high, size=count)
-    h = rng.uniform(low, high, size=count)
-    cx = rng.uniform(w / 2, config.world_size - w / 2)
-    cy = rng.uniform(h / 2, config.world_size - h / 2)
-    return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
+    # A (2, n) draw reads the stream row by row, as one call per row would.
+    half = rng.uniform(low, high, size=(2, count)) / 2
+    center = rng.uniform(half, config.world_size - half)
+    boxes = np.empty((count, 4))
+    np.subtract(center, half, out=boxes[:, :2].T)
+    np.add(center, half, out=boxes[:, 2:].T)
+    return boxes
 
 
 def _jittered_proposals(config: SceneConfig, rng: np.random.Generator, gt: np.ndarray, count: int) -> np.ndarray:
@@ -155,7 +162,7 @@ def _jittered_proposals(config: SceneConfig, rng: np.random.Generator, gt: np.nd
     scale = np.concatenate([base[:, 2:] - base[:, :2]] * 2, axis=1)  # (w, h, w, h) per box
     boxes = base + rng.normal(size=(count, 4)) * (config.jitter * scale)
     bad = (boxes[:, 2] <= boxes[:, 0]) | (boxes[:, 3] <= boxes[:, 1])
-    while np.any(bad):
+    while bad.any():
         idx = np.flatnonzero(bad)
         boxes[idx] = base[idx] + rng.normal(size=(idx.size, 4)) * (config.jitter * scale[idx])
         bad = (boxes[:, 2] <= boxes[:, 0]) | (boxes[:, 3] <= boxes[:, 1])
@@ -185,13 +192,15 @@ def generate_scene(config: SceneConfig, rng: np.random.Generator, scene_id: int 
         raise RuntimeError(f"could not cover all objects at coverage_iou = {config.coverage_iou}, jitter = "
                            f"{config.jitter} in max_regen_attempts = {config.max_regen_attempts} proposal redraws")
 
-    best_gt = overlap.argmax(axis=1)
-    best_iou = overlap[np.arange(proposals.shape[0]), best_gt]
-    protos = class_prototypes(config)
-    features = best_iou[:, None] * protos[gt_classes[best_gt] - 1]
-    features = features + rng.normal(size=features.shape) * (config.feature_noise / math.sqrt(config.feature_dim))
-    # Noise-free features of a proposal that overlaps no object are zero, and stay so.
-    np.divide(features, norm := np.linalg.norm(features, axis=1, keepdims=True), out=features, where=norm > 0)
+    protos = _prototypes(config.prototype_seed, config.feature_dim, config.num_classes)
+    features = protos[gt_classes[overlap.argmax(axis=1)] - 1]
+    features *= overlap.max(axis=1)[:, None]
+    noise = rng.normal(size=features.shape)
+    noise *= config.feature_noise / math.sqrt(config.feature_dim)
+    features += noise
+    # Row norms as np.linalg.norm computes them; a zero row (noise-free, overlapping no object) stays zero.
+    norm = np.sqrt(np.add.reduce(features * features, axis=1, keepdims=True))
+    np.divide(features, norm, out=features, where=norm > 0)
 
     label = np.zeros(config.num_classes, dtype=np.int8)
     label[gt_classes - 1] = 1
@@ -209,7 +218,7 @@ def generate_dataset(config: SceneConfig, seed: int, count: int) -> list[Scene]:
     """Scenes 0..count-1, each from its own (seed, scene index) stream."""
     scenes = []
     for i in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_TAG_SCENE, i)))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(_TAG_SCENE, i))))
         scenes.append(generate_scene(config, rng, scene_id=i))
     return scenes
 

@@ -290,6 +290,44 @@ class TestCompareCommand:
         assert "fancy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag,value,threads", [
+    ("eval", "--dataset-seed", "-1", "1"),
+    ("compare", "--seeds", "-1", "1"),
+    ("compare", "--seeds", "0,-1", "1"),
+    ("compare", "--seeds", "0,-1", "2"),
+    ("gradcheck", "--seed", "-1", "1"),
+])
+def test_negative_seed_flag_exits_2_naming_it(command, flag, value, threads, config_path, tmp_path, capsys,
+                                              monkeypatch):
+    model = tmp_path / "model.json"
+    model.write_text(opis.ToyModel.initialize(3, 8, 2, seed=0).to_json())
+    args = {
+        "eval": ["--config", str(config_path), "--model", str(model), "--out", str(tmp_path / "o")],
+        "compare": ["--config", str(config_path), "--methods", "baseline", "--out", str(tmp_path / "o"),
+                    "--iterations-override", "4"],
+        "gradcheck": [],
+    }[command]
+    monkeypatch.setenv("OPIS_THREADS", threads)
+    rc = main([command, flag, value] + args)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--seeds", "0,0"), ("--seeds", "1,0,1"), ("--methods", "baseline,baseline")])
+def test_repeated_compare_cell_exits_2_naming_flag(flag, value, config_path, tmp_path, capsys):
+    args = {"--methods": "baseline,opis", "--seeds": "0", flag: value}
+    rc = main([
+        "compare", "--config", str(config_path), "--out", str(tmp_path / "c"), "--iterations-override", "4",
+        "--methods", args["--methods"], "--seeds", args["--seeds"],
+    ])
+    assert rc == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 class TestGradcheckCommand:
     def test_passes_tolerance(self, capsys):
         rc = main(["gradcheck", "--seed", "3"])

@@ -15,6 +15,7 @@ from opis.harness import (
     TrainConfig,
     TrainingDivergence,
     _batch_indices,
+    _prototypes,
     build_branch_supervision,
     class_prototypes,
     finite_diff_check,
@@ -106,6 +107,44 @@ class TestSceneGeneration:
         low = align[overlap < 0.1]
         assert high.size and low.size
         assert high.mean() > low.mean() + 0.2
+
+
+class TestClassPrototypes:
+    # Noise-free boxes copied from the ground truth: each feature row is its
+    # object's class prototype, so the scenes show which prototypes they used.
+    EXACT = dict(num_classes=3, feature_dim=8, num_proposals=12, clutter_rate=0.0, jitter=0.0, feature_noise=0.0)
+
+    @staticmethod
+    def prototypes_seen(config, seed):
+        s = generate_scene(config, rng_for(seed, 1, 0))
+        owners = pairwise_iou(s.proposals, s.gt_boxes).argmax(axis=1)
+        return s.features, s.gt_classes[owners]
+
+    def test_mutating_the_returned_array_changes_nothing_later(self):
+        cfg = SceneConfig(**self.EXACT)
+        before = class_prototypes(cfg)
+        scene_before = generate_scene(cfg, rng_for(3, 1, 0))
+        mutated = class_prototypes(cfg)
+        assert mutated.flags.writeable
+        mutated[:] = 7.0
+        np.testing.assert_array_equal(class_prototypes(cfg), before)
+        scene_after = generate_scene(cfg, rng_for(3, 1, 0))
+        np.testing.assert_array_equal(scene_after.features, scene_before.features)
+        np.testing.assert_array_equal(scene_after.proposals, scene_before.proposals)
+
+    def test_cached_array_is_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            _prototypes(20202, 16, 4)[0, 0] = 1.0
+
+    @pytest.mark.parametrize("change", [dict(prototype_seed=1), dict(feature_dim=9)])
+    def test_worlds_get_their_own_prototypes(self, change):
+        a, b = SceneConfig(**self.EXACT), SceneConfig(**{**self.EXACT, **change})
+        if a.feature_dim == b.feature_dim:
+            assert not np.allclose(class_prototypes(a), class_prototypes(b))
+        for cfg in (a, b, a, b):  # interleaved, in one process
+            protos = class_prototypes(cfg)
+            features, classes = self.prototypes_seen(cfg, 4)
+            np.testing.assert_allclose(features, protos[classes - 1], atol=1e-12)
 
 
 class TestForward:
