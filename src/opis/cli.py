@@ -178,6 +178,8 @@ def _load_model(path: str, config: TrainConfig) -> ToyModel:
         model = ToyModel.from_json(p.read_text())
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"malformed model file {p}: {type(exc).__name__}: {exc}") from exc
+    if not model.all_finite():
+        raise ConfigError(f"model file {p} has non-finite parameters")
     # ToyModel checks that its heads agree with each other; they must fit the world too.
     num_classes, feature_dim = config.scene.num_classes, config.scene.feature_dim
     if (model.num_classes, model.feature_dim) != (num_classes, feature_dim) or model.num_branches < 1:
@@ -186,6 +188,12 @@ def _load_model(path: str, config: TrainConfig) -> ToyModel:
             f"({num_classes} classes, {feature_dim} dims, at least one refinement branch)"
         )
     return model
+
+
+def _scoring_failure(exc: ValueError) -> int:
+    """Exit status of a forward pass whose finite parameters overflowed the scores."""
+    print(f"numerical failure: non-finite values while scoring: {exc}", file=sys.stderr)
+    return EXIT_NUMERIC
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -207,7 +215,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model = _load_model(args.model, config)
     dataset_seed = config.eval_seed if args.dataset_seed is None else _seed_flag("--dataset-seed", args.dataset_seed)
     scenes = _dataset(config.scene, dataset_seed, config.eval_scenes)
-    report, records = evaluate_scenes(model, scenes, nms_iou=config.nms_iou, score_floor=config.score_floor)
+    try:
+        report, records = evaluate_scenes(model, scenes, nms_iou=config.nms_iou, score_floor=config.score_floor)
+    except ValueError as exc:
+        return _scoring_failure(exc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.json").write_text(report.to_json())
@@ -290,7 +301,10 @@ def cmd_sample_demo(args: argparse.Namespace) -> int:
         model = ToyModel.initialize(
             config.scene.num_classes, config.scene.feature_dim, config.refinements, config.seed, config.init_scale
         )
-    scores = forward(model, scene)
+    try:
+        scores = forward(model, scene)
+    except ValueError as exc:
+        return _scoring_failure(exc)
     print(f"scene {scene.scene_id}, iteration {iteration}: T={schedule.t_progress:.4f} "
           f"mu={schedule.mu:.4f} I_t={schedule.neglect:.4f}")
     width = (schedule.lambda_ng - schedule.lambda_ig) / N_BINS

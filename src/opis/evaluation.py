@@ -87,8 +87,6 @@ def _match_detections(
 
 
 def _ap_from_flags(tp: np.ndarray, n_gt: int) -> float:
-    if tp.size == 0:
-        return 0.0
     cum_tp = np.cumsum(tp)
     cum_fp = np.cumsum(~tp)
     recall = cum_tp / n_gt

@@ -55,15 +55,8 @@ class ScoredBox:
             raise ValueError(f"class_id must be a positive integer, got {self.class_id}")
 
 
-def _check_box(b: BBox) -> None:
-    if not (b.x2 > b.x1 and b.y2 > b.y1):
-        raise ValueError(f"degenerate box {b!r}")
-
-
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union of two boxes; 0.0 when disjoint."""
-    _check_box(a)
-    _check_box(b)
     ix = min(a.x2, b.x2) - max(a.x1, b.x1)
     iy = min(a.y2, b.y2) - max(a.y1, b.y1)
     if ix <= 0.0 or iy <= 0.0:

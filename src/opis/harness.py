@@ -14,7 +14,6 @@ import functools
 import json
 import math
 import time
-from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -391,8 +390,7 @@ def forward(model: ToyModel, scene: Scene) -> ScoreSet:
     c, k, p = model.num_classes, model.num_branches, scene.num_proposals
     logits, phis = np.empty((1, model.weights.shape[0], p)), np.empty((k + 1, c + 1, p))
     sc, sd = _score_stack(model, scene.features[None], logits, phis[None, 0], phis[None, 1:])
-    return ScoreSet(x_cls=logits[0, :c], x_det=logits[0, c : 2 * c], class_probs=sc[0], det_probs=sd[0],
-                    x_r=phis[0, :c], phis=phis, ref_logits=logits[0, 2 * c :].reshape(k, c + 1, p))
+    return ScoreSet(class_probs=sc[0], det_probs=sd[0], x_r=phis[0, :c], phis=phis)
 
 
 @dataclass
@@ -490,7 +488,7 @@ def supervise_scene(
     return _supervise([scene], scores.supervisors[None], scores.phi, schedule, method, seed, iteration)
 
 
-def _supervise(scenes: Sequence[Scene], supervisors: np.ndarray, phi: np.ndarray, schedule: ScheduleState | _Step,
+def _supervise(scenes: Sequence[Scene], supervisors: np.ndarray, phi: np.ndarray, schedule: ScheduleState,
                method: str, seed: int, iteration: int) -> SceneSupervision:
     """Supervision of B scenes' K branches as one (B*K, P) stack. Row b*K + k-1
     is branch k of scene b, supervised by ``supervisors[b, k-1]``, with branch
@@ -504,7 +502,7 @@ def _supervise(scenes: Sequence[Scene], supervisors: np.ndarray, phi: np.ndarray
     so the draws are those of the per-class sampler.
     """
     num_branches, num_proposals = supervisors.shape[1], phi.shape[-1]
-    lambda_ig, lambda_ng = schedule.lambda_ig, schedule.lambda_ng
+    lambda_ig, lambda_ng, finetune = schedule.lambda_ig, schedule.lambda_ng, schedule.phase == "finetune"
     centered = [cluster_center_indices(sup, scene.image_label) for scene, sup in zip(scenes, supervisors)]
     targets = SupervisionTargets.concat([assign_branches(classes, centers, scene.proposals, sup, lambda_ig, lambda_ng)
                                          for (classes, centers), scene, sup in zip(centered, scenes, supervisors)])
@@ -515,8 +513,8 @@ def _supervise(scenes: Sequence[Scene], supervisors: np.ndarray, phi: np.ndarray
     zetas = np.ones(rows)
 
     balance = lambda: [{} for _ in range(rows)]
-    if schedule.phase == "finetune" and method in ("pib_only", "opis"):
-        mu, stride = schedule.mu, targets.num_classes + 1
+    if finetune and method in ("pib_only", "opis"):
+        mu, neglect, stride = schedule.mu, schedule.neglect, targets.num_classes + 1
         labeled, source, max_iou = targets.assigned_class > 0, targets.source_class, targets.max_iou
         group = source + stride * np.arange(rows)[:, None]
         n_neg = np.bincount(group[negative], minlength=rows * stride)
@@ -543,7 +541,7 @@ def _supervise(scenes: Sequence[Scene], supervisors: np.ndarray, phi: np.ndarray
             (b, k), c = divmod(g // stride, num_branches), g % stride
             pos_c = (targets.assigned_class[g // stride] == c).nonzero()[0]
             center = int(centered[b][1][k, np.searchsorted(centered[b][0], c)])
-            kept = reselect_positives(pos_c, supervisors[b, k], c, center, schedule.neglect)
+            kept = reselect_positives(pos_c, supervisors[b, k], c, center, neglect)
             # The rule returns pos_c itself unless it fires.
             neglected[g] = "all positives" if kept is pos_c else "center only"
             keep[g // stride, pos_c] = False
@@ -571,7 +569,7 @@ def _supervise(scenes: Sequence[Scene], supervisors: np.ndarray, phi: np.ndarray
         zetas = zeta("finetune", num_proposals, keep.sum(axis=1))
 
     if method in ("pir_only", "opis"):
-        attenuated = method == "opis" and schedule.phase == "finetune"
+        attenuated = method == "opis" and finetune
         targets = reweight_branch(targets, phi, schedule, attenuated=attenuated)
 
     return SceneSupervision(
@@ -623,7 +621,7 @@ def scene_pass(
     return float(midn[0]), ref_losses, sup, grads if want_grads else None
 
 
-def _batch_pass(model: ToyModel, scenes: Sequence[Scene], schedule: ScheduleState | _Step, method: str, seed: int,
+def _batch_pass(model: ToyModel, scenes: Sequence[Scene], schedule: ScheduleState, method: str, seed: int,
                 iteration: int, ws: SimpleNamespace, frozen: Sequence[BranchSupervision] | None = None,
                 want_grads: bool = True) -> tuple[np.ndarray, list[float], SceneSupervision]:
     """``scene_pass`` of B scenes of one proposal count, in the buffers ``ws``:
@@ -765,22 +763,6 @@ def _batch_indices(config: TrainConfig, n_scenes: int) -> np.ndarray:
     return np.concatenate(chunks)[:need]
 
 
-# One iteration of a run's plan: what supervision reads of a ScheduleState, and the learning rate.
-_Step = namedtuple("_Step", "phase t_progress mu neglect learning_rate lambda_ig lambda_ng beta gamma")
-
-
-def _plan(config: TrainConfig) -> list[_Step]:
-    """Every iteration's schedule, each value that of ``config.schedule(iteration)`` bit for bit."""
-    n, t_0 = config.total_iterations, config.t_0
-    t = np.arange(n)
-    finetune = t >= t_0
-    progress = np.where(finetune, (t - t_0) / (n - t_0), 0.0)
-    columns = (np.where(finetune, "finetune", "normal"), progress, config.mu_s - (config.mu_s - 4.0) * progress,
-               config.i_0 + config.alpha * t / n, config.learning_rate * np.where(finetune, config.lr_decay, 1.0))
-    fixed = (config.lambda_ig, config.lambda_ng, config.beta, config.gamma)
-    return [_Step(*row, *fixed) for row in zip(*(column.tolist() for column in columns))]
-
-
 def train(config: TrainConfig, dataset: Sequence[Scene]) -> tuple[ToyModel, TrainLog]:
     """Two-phase SGD training of the toy model on a scene dataset.
 
@@ -808,14 +790,15 @@ def train(config: TrainConfig, dataset: Sequence[Scene]) -> tuple[ToyModel, Trai
     ws = _workspace(model, config.batch_size, counts[0])
     log = TrainLog(num_branches=config.refinements)
     inv_b, k = 1.0 / config.batch_size, config.refinements
+    schedules = [config.schedule(it) for it in range(config.total_iterations)]
 
-    for it, (step, batch) in enumerate(zip(_plan(config), batches)):
+    for it, (schedule, batch) in enumerate(zip(schedules, batches)):
         start = time.perf_counter()
         if not model.all_finite():
             raise TrainingDivergence("model parameters became non-finite", it)
         try:
-            losses_midn, ref_losses, sup = _batch_pass(model, [dataset[i] for i in batch], step, config.method,
-                                                       config.seed, it, ws)
+            losses_midn, ref_losses, sup = _batch_pass(model, [dataset[i] for i in batch], schedule, config.method,
+                                                           config.seed, it, ws)
         except ValueError as exc:
             # Finite parameters can still overflow inside the forward pass.
             raise TrainingDivergence(f"non-finite values while scoring: {exc}", it) from exc
@@ -835,12 +818,13 @@ def train(config: TrainConfig, dataset: Sequence[Scene]) -> tuple[ToyModel, Trai
             raise TrainingDivergence(f"non-finite loss at iteration {it}", it,
                                      snapshot={"loss_midn": loss_midn_mean, "loss_refs": ref_means.tolist()})
 
+        phase = schedule.phase
         velocity *= config.momentum
         velocity += grad_sum * inv_b + config.weight_decay * params
-        params -= step.learning_rate * velocity
+        params -= config.learning_rate * (config.lr_decay if phase == "finetune" else 1.0) * velocity
 
         log.records.append(IterationRecord(
-            iteration=it, phase=step.phase, t_progress=step.t_progress, mu=step.mu,
+            iteration=it, phase=phase, t_progress=schedule.t_progress, mu=schedule.mu,
             zeta_mean=float(sup.zeta.sum() / sup.zeta.size),  # np.mean's bits, without its overhead
             loss_midn=loss_midn_mean, loss_refs=tuple(ref_means.tolist()), pos_count=int(sup.pos_selected.sum()),
             neg_before=int(sup.neg_before.sum()), neg_after=int(sup.neg_after.sum()),

@@ -109,29 +109,17 @@ def phi0_from_instance_scores(instance_scores: np.ndarray) -> np.ndarray:
 class ScoreSet:
     """All per-scene score matrices produced by one forward pass.
 
-    ``x_cls`` / ``x_det`` are raw stream logits, ``class_probs`` / ``det_probs``
-    their softmaxes, and ``x_r`` the composed instance scores. ``phis`` stacks
-    the (C+1, P) class-score matrices of the refinement chain: ``phis[0]`` is
-    ``phi0``, the supervision source for branch 1, and ``phis[k]`` the column
-    softmax of refinement branch k, whose pre-softmax matrix is
-    ``ref_logits[k-1]``. Branch k is supervised by ``phis[k-1]``.
+    ``class_probs`` / ``det_probs`` are the two MIDN streams' softmaxes and
+    ``x_r`` their composed instance scores. ``phis`` stacks the (C+1, P)
+    class-score matrices of the refinement chain: ``phis[0]`` is ``phi0``, the
+    supervision source for branch 1, and ``phis[k]`` the column softmax of
+    refinement branch k. Branch k is supervised by ``phis[k-1]``.
     """
 
-    x_cls: np.ndarray
-    x_det: np.ndarray
     class_probs: np.ndarray
     det_probs: np.ndarray
     x_r: np.ndarray
     phis: np.ndarray  # (K+1, C+1, P)
-    ref_logits: np.ndarray  # (K, C+1, P)
-
-    @property
-    def num_classes(self) -> int:
-        return self.x_r.shape[0]
-
-    @property
-    def num_proposals(self) -> int:
-        return self.x_r.shape[1]
 
     @property
     def num_branches(self) -> int:

@@ -89,6 +89,7 @@ def ratio_mu(mu_s: float, t: float) -> float:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     return mu_s - (mu_s - 4.0) * t
 
+
 def neglect_threshold(i_0: float, alpha: float, t_n: int, t_1: int) -> float:
     """Score-sum threshold below which a no-negative class keeps only its center."""
     if t_n > t_1:
@@ -245,14 +246,12 @@ def _binned_draw(neg_indices: np.ndarray, neg_ious: np.ndarray, n_pos: int, mu: 
         members.sort()
         detail.stage1.append(members)
         stage1_size += take
+    # Only a target below the supply gets here, so need < remaining.size.
     need = target - stage1_size
     if need > 0:
         remaining = neg_indices[~taken]
-        if need >= remaining.size:
-            detail.stage2 = remaining
-        else:
-            detail.stage2 = remaining[rng.choice(remaining.size, size=need, replace=False)]
-            detail.stage2.sort()
+        detail.stage2 = remaining[rng.choice(remaining.size, size=need, replace=False)]
+        detail.stage2.sort()
     detail.selected = np.concatenate([*detail.stage1, detail.stage2])
     detail.selected.sort()
     return detail

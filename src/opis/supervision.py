@@ -139,12 +139,6 @@ def max_iou_source(proposal: BBox, center_boxes: Mapping[int, BBox]) -> tuple[fl
     return best_iou, best_class
 
 
-def _proposal_array(proposals: Sequence[BBox] | np.ndarray) -> np.ndarray:
-    if isinstance(proposals, np.ndarray):
-        return proposals.reshape(-1, 4).astype(np.float64, copy=False)
-    return np.array([[b.x1, b.y1, b.x2, b.y2] for b in proposals], dtype=np.float64)
-
-
 def assign_branches(
     classes: np.ndarray,
     centers: np.ndarray,
@@ -196,17 +190,18 @@ def assign_branches(
 
 def assign_labels(
     centers: Mapping[int, int],
-    proposals: Sequence[BBox] | np.ndarray,
+    proposals: np.ndarray,
     phi_prev: np.ndarray,
     lambda_ig: float,
     lambda_ng: float,
 ) -> tuple[SupervisionTargets, ClusterAssignment]:
-    """Three-way label assignment of one branch; see ``assign_branches``."""
+    """Three-way label assignment of one branch's (P, 4) proposal array, plus
+    the per-class partition it induces; see ``assign_branches``."""
     if not (0.0 <= lambda_ig < lambda_ng <= 1.0):
         raise ValueError(f"thresholds must satisfy 0 <= lambda_ig < lambda_ng <= 1, got ({lambda_ig}, {lambda_ng})")
     if not centers:
         raise ValueError("at least one cluster center is required")
-    boxes = _proposal_array(proposals)
+    boxes = proposals.reshape(-1, 4).astype(np.float64, copy=False)
     if boxes.shape[0] == 0:
         raise ValueError("empty proposal set")
     phi = np.asarray(phi_prev, dtype=np.float64)

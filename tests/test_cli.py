@@ -226,12 +226,21 @@ class TestEvalCommand:
         assert rc == EXIT_CONFIG
 
 
+def _filled_model(value):
+    """A model file for the small config with every parameter equal to ``value``."""
+    model = opis.ToyModel.initialize(3, 8, 2, seed=0)
+    model.flat[:] = value
+    return model.to_json()
+
+
 BAD_MODELS = {
     "missing": None,
     "not_json": "{params",
     "no_params": "{}",
     # A model for a 4-class world against the 3-class config.
     "wrong_classes": opis.ToyModel.initialize(4, 8, 2, seed=0).to_json(),
+    # JSON's Infinity, which json.loads accepts.
+    "infinite": _filled_model(math.inf),
 }
 
 
@@ -246,6 +255,25 @@ def test_bad_model_file_exits_2_naming_it(command, case, config_path, tmp_path, 
     rc = main([command] + args)
     assert rc == EXIT_CONFIG
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("command,source", [("eval", "model"), ("sample-demo", "model"), ("sample-demo", "init_scale")])
+def test_overflowing_scores_exit_3_in_one_line(command, source, config_path, tmp_path, capsys):
+    """Finite parameters of 1e308, loaded or drawn with init_scale = 1e308,
+    overflow the scores."""
+    args = ["--config", str(config_path)]
+    if source == "model":
+        (tmp_path / "huge.json").write_text(_filled_model(1e308))
+        args += ["--model", str(tmp_path / "huge.json")]
+    else:
+        config_path.write_text(SMALL_CONFIG.replace("[model]\n", "[model]\ninit_scale = 1e308\n"))
+    args += ["--out", str(tmp_path / "e")] if command == "eval" else []
+    rc = main([command] + args)
+    assert rc == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "non-finite values while scoring" in err
+    assert not (tmp_path / "e").exists()
 
 
 class TestCompareCommand:
@@ -268,11 +296,24 @@ class TestCompareCommand:
             assert 0.0 <= float(parts[2]) <= 1.0
             assert 0.0 <= float(parts[3]) <= 1.0
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    def test_parallel_divergence_exits_3_naming_cell(self, tmp_path, capsys, monkeypatch):
+    def test_serial_grid_matches_parallel(self, config_path, tmp_path, monkeypatch):
+        csvs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("OPIS_THREADS", threads)
+            out = tmp_path / f"cmp{threads}"
+            rc = main([
+                "compare", "--config", str(config_path), "--out", str(out),
+                "--methods", "baseline,opis", "--seeds", "0,1", "--iterations-override", "10",
+            ])
+            assert rc == EXIT_OK
+            csvs.append((out / "compare.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    @staticmethod
+    def diverging_grid_exits_3(threads, tmp_path, capsys, monkeypatch):
         p = tmp_path / "diverge.ini"
         p.write_text(SMALL_CONFIG.replace("learning_rate = 0.3", "learning_rate = 1e9"))
-        monkeypatch.setenv("OPIS_THREADS", "2")
+        monkeypatch.setenv("OPIS_THREADS", threads)
         rc = main([
             "compare", "--config", str(p), "--out", str(tmp_path / "c"),
             "--methods", "baseline,opis", "--seeds", "0", "--iterations-override", "300",
@@ -280,6 +321,14 @@ class TestCompareCommand:
         assert rc == EXIT_NUMERIC
         # Results are read in grid order, so the first diverging cell is reported.
         assert "baseline seed 0" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_parallel_divergence_exits_3_naming_cell(self, tmp_path, capsys, monkeypatch):
+        self.diverging_grid_exits_3("2", tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_serial_divergence_exits_3_naming_cell(self, tmp_path, capsys, monkeypatch):
+        self.diverging_grid_exits_3("1", tmp_path, capsys, monkeypatch)
 
     def test_unknown_method_exits_2(self, config_path, tmp_path, capsys):
         rc = main([
@@ -314,6 +363,36 @@ def test_negative_seed_flag_exits_2_naming_it(command, flag, value, threads, con
     assert flag in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,flag,value,key", [
+    ("train", "--seed", "-1", "seed"),
+    ("sample-demo", "--seed", "-1", "seed"),
+    ("train", "--iterations-override", "1", "iterations_override"),
+])
+def test_bad_override_exits_2_naming_key(command, flag, value, key, config_path, tmp_path, capsys):
+    out = ["--out", str(tmp_path / "o")] if command == "train" else []
+    rc = main([command, "--config", str(config_path), flag, value] + out)
+    assert rc == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("threads,flag,value,named", [
+    ("abc", "--seeds", "0", "OPIS_THREADS"),
+    ("1", "--seeds", "0,x", "seeds"),
+    ("1", "--methods", ",", "method"),
+])
+def test_bad_compare_input_exits_2(threads, flag, value, named, config_path, tmp_path, capsys, monkeypatch):
+    args = {"--methods": "baseline", "--seeds": "0", flag: value}
+    monkeypatch.setenv("OPIS_THREADS", threads)
+    rc = main([
+        "compare", "--config", str(config_path), "--out", str(tmp_path / "c"), "--iterations-override", "4",
+        "--methods", args["--methods"], "--seeds", args["--seeds"],
+    ])
+    assert rc == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--seeds", "0,0"), ("--seeds", "1,0,1"), ("--methods", "baseline,baseline")])
@@ -455,6 +534,20 @@ def test_former_escapes_exit_2_naming_key(key, value, tmp_path, capsys):
     rc = main(["train", "--config", str(p), "--out", str(tmp_path / "o"), "--iterations-override", "4"])
     assert rc == EXIT_CONFIG
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("data,keys", [
+    ("num_classes = 9\nfeature_dim = 8\n", ("num_classes", "feature_dim")),
+    ("min_objects = 3\nmax_objects = 2\n", ("min_objects", "max_objects")),
+])
+def test_inconsistent_data_keys_exit_2_naming_both(data, keys, tmp_path, capsys):
+    p = tmp_path / "bad.ini"
+    p.write_text("[data]\n" + data)
+    rc = main(["train", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert all(key in err for key in keys)
     assert not (tmp_path / "o").exists()
 
 

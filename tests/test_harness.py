@@ -252,6 +252,17 @@ class TestTraining:
             train(cfg, ds)
         assert 0 <= exc_info.value.iteration < 200
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_scores_diverge_at_first_iteration(self):
+        """Finite parameters and finite features can still overflow the logits."""
+        cfg = small_train_config(init_scale=1e10)
+        ds = generate_dataset(cfg.scene, cfg.seed, cfg.scenes_per_epoch)
+        for scene in ds:
+            scene.features = np.full_like(scene.features, 1e300)
+        with pytest.raises(TrainingDivergence, match="non-finite values while scoring") as exc_info:
+            train(cfg, ds)
+        assert exc_info.value.iteration == 0
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train(small_train_config(), [])
