@@ -1,9 +1,9 @@
 """VOC-criterion metrics over synthetic scenes: per-class AP, mAP, CorLoc.
 
-A detection matches a ground truth of its class when IoU strictly exceeds the
-threshold (0.5 by default); each ground truth can be claimed once, by the
-highest-scoring detection that reaches it first. AP integrates the full
-precision-recall curve (all-points area, not the 11-point approximation).
+In score order, a detection claims the ground truth of its class and scene that
+it overlaps most, when that IoU strictly exceeds the threshold (0.5 by default)
+and no earlier detection claimed it. AP integrates the full precision-recall
+curve (all-points area, not the 11-point approximation).
 """
 
 from __future__ import annotations
@@ -45,9 +45,11 @@ def detect(
     scene: Scene,
     nms_iou: float = 0.3,
     score_floor: float = 1e-3,
+    scores: np.ndarray | None = None,
 ) -> list[ScoredBox]:
-    """Per-class NMS-filtered detections from branch-averaged scores."""
-    mean_scores = branch_mean_scores(model, scene)
+    """Per-class NMS-filtered detections from branch-averaged scores; pass the
+    scene's ``branch_mean_scores`` as ``scores`` to reuse them."""
+    mean_scores = branch_mean_scores(model, scene) if scores is None else scores
     num_classes = mean_scores.shape[0] - 1
     out: list[ScoredBox] = []
     for c in range(1, num_classes + 1):
@@ -62,43 +64,6 @@ def detect(
     return out
 
 
-def _match_detections(
-    det_scores: np.ndarray,
-    det_boxes: np.ndarray,
-    det_scene: np.ndarray,
-    gt_boxes: np.ndarray,
-    gt_scene: np.ndarray,
-    iou_thresh: float,
-) -> np.ndarray:
-    """Greedy TP/FP flags in descending score order (ties keep input order)."""
-    order = np.argsort(-det_scores, kind="stable")
-    used = np.zeros(gt_boxes.shape[0], dtype=bool)
-    tp = np.zeros(det_scores.size, dtype=bool)
-    for rank, i in enumerate(order):
-        same_scene = np.flatnonzero(gt_scene == det_scene[i])
-        if same_scene.size == 0:
-            continue
-        overlaps = pairwise_iou(det_boxes[i : i + 1], gt_boxes[same_scene])[0]
-        j = int(overlaps.argmax())
-        if overlaps[j] > iou_thresh and not used[same_scene[j]]:
-            used[same_scene[j]] = True
-            tp[rank] = True
-    return tp
-
-
-def _ap_from_flags(tp: np.ndarray, n_gt: int) -> float:
-    cum_tp = np.cumsum(tp)
-    cum_fp = np.cumsum(~tp)
-    recall = cum_tp / n_gt
-    precision = cum_tp / (cum_tp + cum_fp)
-    mrec = np.concatenate(([0.0], recall, [1.0]))
-    mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(mpre.size - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
-    steps = np.flatnonzero(mrec[1:] != mrec[:-1])
-    return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
-
-
 def _class_ap(
     dets: Sequence[ScoredBox],
     det_scene: np.ndarray,
@@ -111,21 +76,41 @@ def _class_ap(
     n_gt = int(gt_mask.sum())
     if n_gt == 0:
         raise UndefinedAPError(f"no ground truth of class {class_id}")
-    det_idx = [i for i, d in enumerate(dets) if d.class_id == class_id]
-    if not det_idx:
+    det_idx = np.array([i for i, d in enumerate(dets) if d.class_id == class_id], dtype=np.int64)
+    if det_idx.size == 0:
         return 0.0
+    # Score order, ties in input order.
+    det_idx = det_idx[np.argsort([-dets[i].score for i in det_idx], kind="stable")]
     det_boxes = np.array([dets[i].box.as_array() for i in det_idx])
-    det_scores = np.array([dets[i].score for i in det_idx])
+    det_scene = det_scene[det_idx]
     gt_boxes = np.array([g[0].as_array() for g, m in zip(gts, gt_mask) if m])
-    tp = _match_detections(
-        det_scores,
-        det_boxes,
-        det_scene[det_idx],
-        gt_boxes,
-        gt_scene[gt_mask],
-        iou_thresh,
-    )
-    return _ap_from_flags(tp, n_gt)
+    gt_scene = gt_scene[gt_mask]
+    # Each detection's most-overlapped ground truth of its scene (the first of
+    # equals) and whether that overlap clears the threshold.
+    best = np.zeros(det_idx.size, dtype=np.int64)
+    hit = np.zeros(det_idx.size, dtype=bool)
+    for scene_id in dict.fromkeys(gt_scene.tolist()):
+        d = np.flatnonzero(det_scene == scene_id)
+        g = np.flatnonzero(gt_scene == scene_id)
+        overlaps = pairwise_iou(det_boxes[d], gt_boxes[g])
+        j = overlaps.argmax(axis=1)
+        best[d] = g[j]
+        hit[d] = overlaps[np.arange(d.size), j] > iou_thresh
+    # No claim changes which ground truth a detection overlaps most, so each
+    # ground truth goes to its first hit in score order.
+    rank = np.arange(det_idx.size)
+    first = np.full(n_gt, det_idx.size)
+    np.minimum.at(first, best[hit], rank[hit])
+    tp = hit & (first[best] == rank)
+
+    cum_tp = np.cumsum(tp)
+    recall = cum_tp / n_gt
+    precision = cum_tp / (rank + 1)
+    mrec = np.concatenate(([0.0], recall, [1.0]))
+    mpre = np.concatenate(([0.0], precision, [0.0]))
+    mpre = np.maximum.accumulate(mpre[::-1])[::-1]  # the precision envelope
+    steps = np.flatnonzero(mrec[1:] != mrec[:-1])
+    return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
 
 
 def voc_ap(
@@ -212,34 +197,31 @@ def evaluate_scenes(
     iou_thresh: float = 0.5,
 ) -> tuple[MetricsReport, list[tuple[int, ScoredBox]]]:
     """Detect on every scene and compute mAP plus CorLoc over the whole set.
+    Each scene is scored once; detection and CorLoc share its scores.
 
     Returns the report and the flat (scene_id, detection) list that produced
     it, in deterministic order.
     """
     all_dets: list[ScoredBox] = []
     det_scene: list[int] = []
-    gts: list[tuple[BBox, int]] = []
-    gt_scene: list[int] = []
-    classes: set[int] = set()
+    scores: dict[int, np.ndarray] = {}
     for scene in scenes:
-        for d in detect(model, scene, nms_iou=nms_iou, score_floor=score_floor):
+        scores[id(scene)] = branch_mean_scores(model, scene)
+        for d in detect(model, scene, nms_iou=nms_iou, score_floor=score_floor, scores=scores[id(scene)]):
             all_dets.append(d)
             det_scene.append(scene.scene_id)
-        for box, c in zip(scene.gt_boxes, scene.gt_classes):
-            gts.append((BBox(*box), int(c)))
-            gt_scene.append(scene.scene_id)
-            classes.add(int(c))
+    gts = [(BBox(*box), int(c)) for scene in scenes for box, c in zip(scene.gt_boxes, scene.gt_classes)]
+    gt_scene = np.array([scene.scene_id for scene in scenes for _ in scene.gt_classes], dtype=np.int64)
 
     det_scene_arr = np.asarray(det_scene, dtype=np.int64)
-    gt_scene_arr = np.asarray(gt_scene, dtype=np.int64)
     per_class = {
-        c: _class_ap(all_dets, det_scene_arr, gts, gt_scene_arr, c, iou_thresh)
-        for c in sorted(classes)
+        c: _class_ap(all_dets, det_scene_arr, gts, gt_scene, c, iou_thresh)
+        for c in sorted({c for _, c in gts})
     }
     report = MetricsReport(
         per_class_ap=per_class,
         mean_ap=float(np.mean(list(per_class.values()))),
-        corloc=corloc(model, scenes, iou_thresh),
+        corloc=corloc(model, scenes, iou_thresh, score_fn=lambda scene: scores[id(scene)]),
         num_scenes=len(scenes),
         num_detections=len(all_dets),
     )

@@ -312,8 +312,10 @@ class ToyModel:
         model = cls.from_flat(np.zeros(cls.flat_size(num_classes, feature_dim, num_branches)),
                               num_classes, feature_dim, num_branches)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_TAG_MODEL,)))
-        for w in [model.w_cls, model.w_det, *model.w_ref]:
-            w[...] = rng.normal(size=w.shape) * init_scale
+        # A huge init_scale overflows to inf, which train and forward report.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for w in [model.w_cls, model.w_det, *model.w_ref]:
+                w[...] = rng.normal(size=w.shape) * init_scale
         return model
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
@@ -373,8 +375,9 @@ def _score_stack(model: ToyModel, features: np.ndarray, logits: np.ndarray, phi0
     (B, C+1, P), the branch softmaxes in ``phi`` (B, K, C+1, P). Returns the
     (B, C, P) MIDN stream softmaxes."""
     c = model.num_classes
-    np.matmul(model.weights, features.transpose(0, 2, 1), out=logits)
-    logits += model.biases[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+        np.matmul(model.weights, features.transpose(0, 2, 1), out=logits)
+        logits += model.biases[:, None]
     if not np.isfinite(logits).all():
         raise ValueError("logits contains non-finite entries")
     sc = softmax(logits[:, :c], axis=1)
@@ -819,9 +822,10 @@ def train(config: TrainConfig, dataset: Sequence[Scene]) -> tuple[ToyModel, Trai
                                      snapshot={"loss_midn": loss_midn_mean, "loss_refs": ref_means.tolist()})
 
         phase = schedule.phase
-        velocity *= config.momentum
-        velocity += grad_sum * inv_b + config.weight_decay * params
-        params -= config.learning_rate * (config.lr_decay if phase == "finetune" else 1.0) * velocity
+        with np.errstate(over="ignore", invalid="ignore"):  # all_finite is checked after every update
+            velocity *= config.momentum
+            velocity += grad_sum * inv_b + config.weight_decay * params
+            params -= config.learning_rate * (config.lr_decay if phase == "finetune" else 1.0) * velocity
 
         log.records.append(IterationRecord(
             iteration=it, phase=phase, t_progress=schedule.t_progress, mu=schedule.mu,
@@ -830,6 +834,8 @@ def train(config: TrainConfig, dataset: Sequence[Scene]) -> tuple[ToyModel, Trai
             neg_before=int(sup.neg_before.sum()), neg_after=int(sup.neg_after.sum()),
             wallclock_ms=(time.perf_counter() - start) * 1e3,
         ))
+    if not model.all_finite():  # the last update, which no iteration checks
+        raise TrainingDivergence("model parameters became non-finite", config.total_iterations)
     return model, log
 
 

@@ -276,6 +276,43 @@ def test_overflowing_scores_exit_3_in_one_line(command, source, config_path, tmp
     assert not (tmp_path / "e").exists()
 
 
+DIVERGING = SMALL_CONFIG.replace("learning_rate = 0.3", "learning_rate = 1e9")
+HUGE_INIT = SMALL_CONFIG.replace("[model]\n", "[model]\ninit_scale = 1e308\n")
+
+
+@pytest.mark.parametrize("command,config_text,args", [
+    ("eval", SMALL_CONFIG, ["--model", "huge.json", "--out", "e"]),
+    ("sample-demo", SMALL_CONFIG, ["--model", "huge.json"]),
+    ("sample-demo", HUGE_INIT, []),
+    ("train", DIVERGING, ["--out", "e", "--iterations-override", "300"]),
+    ("train", HUGE_INIT, ["--out", "e"]),
+    ("compare", DIVERGING, ["--out", "e", "--methods", "baseline,opis", "--seeds", "0", "--iterations-override", "300"]),
+], ids=["eval-huge-model", "sample-demo-huge-model", "sample-demo-huge-init", "train-diverging", "train-huge-init",
+        "compare-diverging"])
+def test_numerical_failure_prints_one_stderr_line(command, config_text, args, tmp_path):
+    """In a real process, where no test runner captures numpy's warnings, and
+    with two worker processes for compare."""
+    (tmp_path / "cfg.ini").write_text(config_text)
+    (tmp_path / "huge.json").write_text(_filled_model(1e308))
+    env = dict(os.environ, PYTHONPATH=str(Path(opis.__file__).parents[1]), OPIS_THREADS="2")
+    proc = subprocess.run([sys.executable, "-m", "opis.cli", command, "--config", "cfg.ini"] + args,
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_NUMERIC
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("numerical failure"), proc.stderr
+    assert not (tmp_path / "e").exists()
+
+
+def test_divergence_in_the_last_update_exits_3(tmp_path, capsys):
+    """With this config the parameters first overflow in iteration 55's update,
+    the last of 56, which no later iteration's check would see."""
+    (tmp_path / "cfg.ini").write_text(DIVERGING)
+    rc = main(["train", "--config", str(tmp_path / "cfg.ini"), "--out", str(tmp_path / "e"),
+               "--iterations-override", "56"])
+    assert rc == EXIT_NUMERIC
+    assert "iteration 56" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
 class TestCompareCommand:
     def test_grid_csv_with_medians(self, config_path, tmp_path):
         out = tmp_path / "cmp"

@@ -1,11 +1,18 @@
 """Detection metrics: hand-built precision-recall fixtures, rank invariance,
-greedy matching rules, and the CorLoc counter."""
+greedy matching rules, and the CorLoc counter. AP matching is checked against
+the per-detection matcher and running-max envelope it replaced, kept here
+verbatim as an oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from opis import evaluation
 from opis.evaluation import (
     UndefinedAPError,
+    _class_ap,
+    branch_mean_scores,
     corloc,
     detect,
     dump_detections,
@@ -13,8 +20,8 @@ from opis.evaluation import (
     mean_ap,
     voc_ap,
 )
-from opis.geometry import BBox, ScoredBox
-from opis.harness import Scene, SceneConfig, ToyModel, forward, generate_scene
+from opis.geometry import BBox, ScoredBox, pairwise_iou
+from opis.harness import Scene, SceneConfig, ToyModel, forward, generate_dataset, generate_scene
 
 
 def det(x1, y1, x2, y2, score, cls=1):
@@ -240,3 +247,145 @@ class TestEvaluateScenes:
         ap = _class_ap(dets, det_scene, gts, gt_scene, 1, 0.5)
         # scene-0 det is a TP; the identical box in scene 1 has no local gt -> FP
         assert ap == 0.5
+
+
+def _match_detections(det_scores, det_boxes, det_scene, gt_boxes, gt_scene, iou_thresh):
+    """Greedy TP/FP flags in descending score order (ties keep input order)."""
+    order = np.argsort(-det_scores, kind="stable")
+    used = np.zeros(gt_boxes.shape[0], dtype=bool)
+    tp = np.zeros(det_scores.size, dtype=bool)
+    for rank, i in enumerate(order):
+        same_scene = np.flatnonzero(gt_scene == det_scene[i])
+        if same_scene.size == 0:
+            continue
+        overlaps = pairwise_iou(det_boxes[i : i + 1], gt_boxes[same_scene])[0]
+        j = int(overlaps.argmax())
+        if overlaps[j] > iou_thresh and not used[same_scene[j]]:
+            used[same_scene[j]] = True
+            tp[rank] = True
+    return tp
+
+
+def _ap_from_flags(tp, n_gt):
+    cum_tp = np.cumsum(tp)
+    cum_fp = np.cumsum(~tp)
+    recall = cum_tp / n_gt
+    precision = cum_tp / (cum_tp + cum_fp)
+    mrec = np.concatenate(([0.0], recall, [1.0]))
+    mpre = np.concatenate(([0.0], precision, [0.0]))
+    for i in range(mpre.size - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    steps = np.flatnonzero(mrec[1:] != mrec[:-1])
+    return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
+
+
+def oracle_class_ap(dets, det_scene, gts, gt_scene, class_id, iou_thresh):
+    gt_mask = np.array([g[1] == class_id for g in gts], dtype=bool)
+    det_idx = [i for i, d in enumerate(dets) if d.class_id == class_id]
+    if not det_idx:
+        return 0.0
+    tp = _match_detections(
+        np.array([dets[i].score for i in det_idx]),
+        np.array([dets[i].box.as_array() for i in det_idx]),
+        det_scene[det_idx],
+        np.array([g[0].as_array() for g, m in zip(gts, gt_mask) if m]),
+        gt_scene[gt_mask],
+        iou_thresh,
+    )
+    return _ap_from_flags(tp, int(gt_mask.sum()))
+
+
+@st.composite
+def grid_box(draw):
+    """A box with integer corners, so that IoU often lands exactly on 0.5."""
+    x1, y1 = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    return BBox(x1, y1, x1 + draw(st.integers(1, 4)), y1 + draw(st.integers(1, 4)))
+
+
+@st.composite
+def matching_fixtures(draw):
+    """Detections and ground truths of two classes over up to four scenes (ids
+    not consecutive); ground truths may repeat, and detections may copy a
+    ground-truth box or each other, share a score, or sit in a scene without
+    ground truth of their class."""
+    scene_ids = draw(st.lists(st.integers(0, 50), min_size=1, max_size=4, unique=True))
+    gts = draw(st.lists(st.tuples(grid_box(), st.sampled_from([1, 2]), st.sampled_from(scene_ids)),
+                        min_size=1, max_size=8))
+    gts += draw(st.lists(st.sampled_from(gts), max_size=2))  # duplicate ground truths
+    dets = []
+    for _ in range(draw(st.integers(0, 16))):
+        source = draw(st.sampled_from(["gt", "det", "grid"]))
+        if source == "gt" or (source == "det" and not dets):
+            box, _, scene = draw(st.sampled_from(gts))
+        elif source == "det":
+            box, scene = draw(st.sampled_from(dets))[0].box, draw(st.sampled_from(scene_ids))
+        else:
+            box, scene = draw(grid_box()), draw(st.sampled_from(scene_ids))
+        score = draw(st.sampled_from([0.1, 0.25, 0.5, 0.9]))
+        dets.append((ScoredBox(box, score, draw(st.sampled_from([1, 2]))), scene))
+    iou_thresh = draw(st.sampled_from([0.0, 1 / 3, 0.5, 0.7]))
+    return ([d for d, _ in dets], np.array([s for _, s in dets], dtype=np.int64),
+            [(b, c) for b, c, _ in gts], np.array([s for _, _, s in gts], dtype=np.int64), iou_thresh)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(matching_fixtures())
+def test_class_ap_matches_the_per_detection_matcher(fixture):
+    dets, det_scene, gts, gt_scene, iou_thresh = fixture
+    for c in sorted({c for _, c in gts}):
+        assert _class_ap(dets, det_scene, gts, gt_scene, c, iou_thresh) == oracle_class_ap(
+            dets, det_scene, gts, gt_scene, c, iou_thresh)
+
+
+def test_exact_half_overlap_and_claim_order_against_oracle():
+    """Two ground truths in scene 3 and none in scene 5: the top detection sits
+    at IoU exactly 0.5 on the first (a miss), an equal-score copy of the first
+    claims it, and the copies after it are false positives."""
+    gts = [(BBox(0, 0, 2, 2), 1), (BBox(4, 0, 6, 2), 1)]
+    gt_scene = np.array([3, 3])
+    dets = [det(0, 0, 1, 2, 0.9), det(0, 0, 2, 2, 0.9), det(0, 0, 2, 2, 0.9), det(4, 0, 6, 2, 0.5),
+            det(4, 0, 6, 2, 0.9)]
+    det_scene = np.array([3, 3, 3, 3, 5])
+    ap = _class_ap(dets, det_scene, gts, gt_scene, 1, 0.5)
+    assert ap == oracle_class_ap(dets, det_scene, gts, gt_scene, 1, 0.5)
+    # ranks: miss, TP, FP, FP (scene 5), TP -> precision 1/2 at recall 1/2, 2/5 at recall 1
+    assert ap == 0.5 * 0.5 + 0.5 * 0.4
+
+
+def test_equal_overlaps_go_to_the_first_ground_truth():
+    """The top detection straddles two ground truths at IoU 1/3 each and claims
+    the first, so the later exact detection of that one is a false positive."""
+    gts = [(BBox(0, 0, 2, 2), 1), (BBox(2, 0, 4, 2), 1)]
+    dets = [det(1, 0, 3, 2, 0.9), det(0, 0, 2, 2, 0.5)]
+    args = (dets, np.zeros(2, dtype=np.int64), gts, np.zeros(2, dtype=np.int64), 1, 0.3)
+    assert _class_ap(*args) == oracle_class_ap(*args) == 0.5
+
+
+class TestOneScoringPerScene:
+    def scenes_and_model(self):
+        cfg = SceneConfig(num_classes=3, feature_dim=8, num_proposals=30)
+        return generate_dataset(cfg, 5, 6), ToyModel.initialize(3, 8, 2, seed=2, init_scale=0.7)
+
+    def test_forward_once_and_detect_once_per_scene(self, monkeypatch):
+        scenes, model = self.scenes_and_model()
+        calls = {"forward": [], "detect": []}
+
+        def counted(name, fn):
+            def wrapper(model, scene, *args, **kwargs):
+                calls[name].append(scene.scene_id)
+                return fn(model, scene, *args, **kwargs)
+            return wrapper
+
+        expected, _ = evaluate_scenes(model, scenes)
+        monkeypatch.setattr(evaluation, "forward", counted("forward", forward))
+        monkeypatch.setattr(evaluation, "detect", counted("detect", detect))
+        report, _ = evaluate_scenes(model, scenes)
+        assert calls["forward"] == calls["detect"] == [s.scene_id for s in scenes]
+        assert report == expected
+
+    @pytest.mark.parametrize("kwargs", [{}, dict(score_floor=0.0), dict(nms_iou=0.01), dict(score_floor=0.3)])
+    def test_detect_on_given_scores_equals_detect(self, kwargs):
+        scenes, model = self.scenes_and_model()
+        for scene in scenes:
+            given_scores = detect(model, scene, scores=branch_mean_scores(model, scene), **kwargs)
+            assert given_scores == detect(model, scene, **kwargs)
