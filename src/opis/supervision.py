@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import BBox, iou, pairwise_iou
+from .geometry import BBox, pairwise_iou
 
 __all__ = [
     "SupervisionTargets",
@@ -129,14 +129,10 @@ def max_iou_source(proposal: BBox, center_boxes: Mapping[int, BBox]) -> tuple[fl
     """
     if not center_boxes:
         raise ValueError("at least one cluster center is required")
-    best_iou = -1.0
-    best_class = 0
-    for c in sorted(center_boxes):
-        v = iou(proposal, center_boxes[c])
-        if v > best_iou:
-            best_iou = v
-            best_class = c
-    return best_iou, best_class
+    classes = sorted(center_boxes)
+    overlaps = pairwise_iou(proposal.as_array(), np.array([center_boxes[c].as_array() for c in classes]))[0]
+    j = int(overlaps.argmax())
+    return float(overlaps[j]), classes[j]
 
 
 def assign_branches(

@@ -1,7 +1,10 @@
 """Detection metrics: hand-built precision-recall fixtures, rank invariance,
 greedy matching rules, and the CorLoc counter. AP matching is checked against
-the per-detection matcher and running-max envelope it replaced, kept here
-verbatim as an oracle."""
+the per-detection matcher and running-max envelope it replaced, and the one
+NMS call per scene against the per-class greedy loop it replaced, both kept
+here verbatim as oracles."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from opis import evaluation
 from opis.evaluation import (
     UndefinedAPError,
+    Detections,
     _class_ap,
     branch_mean_scores,
     corloc,
@@ -20,8 +24,8 @@ from opis.evaluation import (
     mean_ap,
     voc_ap,
 )
-from opis.geometry import BBox, ScoredBox, pairwise_iou
-from opis.harness import Scene, SceneConfig, ToyModel, forward, generate_dataset, generate_scene
+from opis.geometry import BBox, ScoredBox, nms_indices, pairwise_iou
+from opis.harness import Scene, SceneConfig, ToyModel, class_prototypes, forward, generate_dataset, generate_scene
 
 
 def det(x1, y1, x2, y2, score, cls=1):
@@ -230,6 +234,10 @@ class TestEvaluateScenes:
         assert len(lines) == len(records)
         assert report.to_json() == report.to_json()  # deterministic
 
+    def test_empty_scene_set_names_the_missing_pairs(self):
+        with pytest.raises(ValueError, match=r"no \(scene, present class\) pairs"):
+            evaluate_scenes(ToyModel.initialize(3, 8, 2, seed=0), [])
+
     def test_cross_scene_matching_isolated(self):
         """A detection in one scene must not match a gt in another scene."""
         s0 = scene_with_scores(0, [[0, 0, 10, 10]], [1], [[0, 0, 10, 10], [30, 30, 40, 40]])
@@ -239,14 +247,22 @@ class TestEvaluateScenes:
             pass
 
         # assemble detections by hand through the pooled matcher
-        from opis.evaluation import _class_ap
         dets = [det(0, 0, 10, 10, 0.9), det(0, 0, 10, 10, 0.8)]
         det_scene = np.array([0, 1])
         gts = [(BBox(0, 0, 10, 10), 1), (BBox(70, 70, 80, 80), 1)]
         gt_scene = np.array([0, 1])
-        ap = _class_ap(dets, det_scene, gts, gt_scene, 1, 0.5)
+        ap = class_ap(dets, det_scene, gts, gt_scene, 1, 0.5)
         # scene-0 det is a TP; the identical box in scene 1 has no local gt -> FP
         assert ap == 0.5
+
+
+def class_ap(dets, det_scene, gts, gt_scene, class_id, iou_thresh):
+    """``_class_ap`` of one class, on columns of object lists whose scenes are
+    the given labels (no element is read, so no scene ids are needed)."""
+    columns = Detections(None, det_scene, np.array([d.class_id for d in dets], dtype=int),
+                         np.array([d.score for d in dets]), np.array([d.box.as_array() for d in dets]).reshape(-1, 4))
+    gt_columns = (gt_scene, np.array([c for _, c in gts]), np.array([b.as_array() for b, _ in gts]).reshape(-1, 4))
+    return _class_ap(columns, gt_columns, iou_thresh)[class_id]
 
 
 def _match_detections(det_scores, det_boxes, det_scene, gt_boxes, gt_scene, iou_thresh):
@@ -333,7 +349,7 @@ def matching_fixtures(draw):
 def test_class_ap_matches_the_per_detection_matcher(fixture):
     dets, det_scene, gts, gt_scene, iou_thresh = fixture
     for c in sorted({c for _, c in gts}):
-        assert _class_ap(dets, det_scene, gts, gt_scene, c, iou_thresh) == oracle_class_ap(
+        assert class_ap(dets, det_scene, gts, gt_scene, c, iou_thresh) == oracle_class_ap(
             dets, det_scene, gts, gt_scene, c, iou_thresh)
 
 
@@ -346,7 +362,7 @@ def test_exact_half_overlap_and_claim_order_against_oracle():
     dets = [det(0, 0, 1, 2, 0.9), det(0, 0, 2, 2, 0.9), det(0, 0, 2, 2, 0.9), det(4, 0, 6, 2, 0.5),
             det(4, 0, 6, 2, 0.9)]
     det_scene = np.array([3, 3, 3, 3, 5])
-    ap = _class_ap(dets, det_scene, gts, gt_scene, 1, 0.5)
+    ap = class_ap(dets, det_scene, gts, gt_scene, 1, 0.5)
     assert ap == oracle_class_ap(dets, det_scene, gts, gt_scene, 1, 0.5)
     # ranks: miss, TP, FP, FP (scene 5), TP -> precision 1/2 at recall 1/2, 2/5 at recall 1
     assert ap == 0.5 * 0.5 + 0.5 * 0.4
@@ -358,7 +374,7 @@ def test_equal_overlaps_go_to_the_first_ground_truth():
     gts = [(BBox(0, 0, 2, 2), 1), (BBox(2, 0, 4, 2), 1)]
     dets = [det(1, 0, 3, 2, 0.9), det(0, 0, 2, 2, 0.5)]
     args = (dets, np.zeros(2, dtype=np.int64), gts, np.zeros(2, dtype=np.int64), 1, 0.3)
-    assert _class_ap(*args) == oracle_class_ap(*args) == 0.5
+    assert class_ap(*args) == oracle_class_ap(*args) == 0.5
 
 
 class TestOneScoringPerScene:
@@ -389,3 +405,111 @@ class TestOneScoringPerScene:
         for scene in scenes:
             given_scores = detect(model, scene, scores=branch_mean_scores(model, scene), **kwargs)
             assert given_scores == detect(model, scene, **kwargs)
+
+
+def greedy_nms_indices(boxes, scores, iou_threshold):
+    """The one-class greedy NMS that the lockstep pass replaced, verbatim."""
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    order = np.argsort(-scores, kind="stable")
+    kept: list[int] = []
+    while order.size:
+        i = int(order[0])
+        kept.append(i)
+        if order.size == 1:
+            break
+        rest = order[1:]
+        overlap = pairwise_iou(boxes[i : i + 1], boxes[rest])[0]
+        order = rest[overlap <= iou_threshold]
+    return np.asarray(kept, dtype=np.int64)
+
+
+def oracle_detect(scene, mean_scores, nms_iou, score_floor):
+    """The per-class detect loop that the one NMS call per scene replaced, with
+    the (class, proposal) pairs it kept."""
+    num_classes = mean_scores.shape[0] - 1
+    out, pairs = [], []
+    for c in range(1, num_classes + 1):
+        s = mean_scores[c - 1]
+        cand = np.flatnonzero(s >= score_floor)
+        if cand.size == 0:
+            continue
+        keep = greedy_nms_indices(scene.proposals[cand], s[cand], nms_iou)
+        for i in cand[keep]:
+            x1, y1, x2, y2 = scene.proposals[i]
+            out.append(ScoredBox(BBox(x1, y1, x2, y2), float(s[i]), c))
+            pairs.append((c, int(i)))
+    return out, pairs
+
+
+@st.composite
+def nms_fixtures(draw):
+    """A scene of integer-grid proposals, often duplicated, with (C+1, P) scores
+    from a few values (so that they tie), an NMS threshold that grid IoUs often
+    equal or that lies near 0 or 1 (at 1 nothing is suppressed), and a score
+    floor from 0 to above every score."""
+    num_classes, p = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    shapes = draw(st.lists(grid_box(), min_size=1, max_size=6))
+    proposals = [draw(st.sampled_from(shapes)).as_array() for _ in range(p)]
+    values = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9, 1.0])
+    scores = np.array(draw(st.lists(st.lists(values, min_size=p, max_size=p),
+                                    min_size=num_classes + 1, max_size=num_classes + 1)))
+    scene = scene_with_scores(7, [[0, 0, 1, 1]], [1], proposals, num_classes=num_classes)
+    nms_iou = draw(st.sampled_from([1e-12, 0.01, 1 / 7, 1 / 3, 0.5, 0.99, 1 - 1e-12, 1.0]))
+    score_floor = draw(st.sampled_from([0.0, 1e-3, 0.25, 0.5, 1.5]))
+    return scene, scores, nms_iou, score_floor
+
+
+def check_lockstep_against_oracle(scene, scores, nms_iou, score_floor):
+    expected, pairs = oracle_detect(scene, scores, nms_iou, score_floor)
+    found = detect(None, scene, nms_iou=nms_iou, score_floor=score_floor, scores=scores)
+    assert found == expected and len(found) == len(expected)
+    rows, kept = nms_indices(scene.proposals, scores[:-1], nms_iou, scores[:-1] >= score_floor)
+    assert list(zip((rows + 1).tolist(), kept.tolist())) == pairs
+    for row in scores[:-1]:  # the one-class call is the C = 1 case
+        assert np.array_equal(nms_indices(scene.proposals, row, nms_iou),
+                              greedy_nms_indices(scene.proposals, row, nms_iou))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(nms_fixtures())
+def test_lockstep_nms_keeps_the_per_class_indices_in_order(fixture):
+    check_lockstep_against_oracle(*fixture)
+
+
+@pytest.mark.parametrize("num_classes,p", [(1, 1), (1, 5), (3, 1)])
+@pytest.mark.parametrize("score_floor", [0.0, 1.5])
+def test_lockstep_nms_at_one_class_or_one_proposal(num_classes, p, score_floor):
+    rng = np.random.default_rng(num_classes * 10 + p)
+    proposals = [[0, 0, 2, 2]] * p
+    scene = scene_with_scores(0, [[0, 0, 2, 2]], [1], proposals, num_classes=num_classes)
+    scores = rng.choice([0.25, 0.5], size=(num_classes + 1, p))
+    check_lockstep_against_oracle(scene, scores, 0.5, score_floor)
+    assert len(detect(None, scene, score_floor=score_floor, scores=scores)) == (num_classes if score_floor == 0 else 0)
+
+
+def test_lockstep_nms_over_several_iou_blocks():
+    """At P=300 the suppression matrix is filled in several row blocks, each
+    mirrored below the diagonal."""
+    model = ToyModel.initialize(3, 8, 2, seed=3, init_scale=1.0)
+    for scene in generate_dataset(SceneConfig(num_classes=3, feature_dim=8, num_proposals=300), 9, 2):
+        check_lockstep_against_oracle(scene, branch_mean_scores(model, scene), 0.3, 1e-3)
+
+
+def test_scenes_sharing_an_id_keep_their_own_ground_truths():
+    """Two datasets both number their scenes from 0; evaluated together, each
+    detection may only claim a ground truth of its own scene, as when the ids
+    differ, and the records keep the scenes' own ids."""
+    cfg = SceneConfig()
+    model = ToyModel.initialize(4, 16, 2, seed=0, init_scale=0.0)
+    for w in model.w_ref:
+        w[:4] = 8.0 * class_prototypes(cfg)
+    a, b = generate_dataset(cfg, 1, 10), generate_dataset(cfg, 2, 10)
+    shifted = [dataclasses.replace(s, scene_id=s.scene_id + 10) for s in b]
+    report, records = evaluate_scenes(model, a + b)
+    apart, apart_records = evaluate_scenes(model, a + shifted)
+    assert report == apart
+    assert [d for _, d in records] == [d for _, d in apart_records]
+    ids = [scene_id for scene_id, _ in records]
+    assert ids == [scene_id % 10 for scene_id, _ in apart_records] and max(ids) == 9
+    assert dump_detections(records).count('"scene_id": 9,') == ids.count(9)

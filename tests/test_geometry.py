@@ -1,7 +1,13 @@
-"""Box arithmetic: IoU against a rasterization oracle, NMS contracts."""
+"""Box arithmetic: IoU against a rasterization oracle, NMS contracts. The
+scalar IoU formula and the object-level NMS loop that ``iou`` and ``nms`` now
+reach through ``pairwise_iou`` and ``nms_indices`` are kept here as oracles."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opis.geometry import BBox, ScoredBox, iou, nms, nms_indices, pairwise_iou
 
@@ -162,3 +168,58 @@ class TestNMS:
             kept = nms(dets, 0.3)
             kept_idx = nms_indices(boxes, scores, 0.3)
             assert [dets[i] for i in kept_idx] == kept
+
+
+def scalar_iou(a: BBox, b: BBox) -> float:
+    """The scalar IoU formula that ``iou`` used before it wrapped ``pairwise_iou``."""
+    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
+    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    union = a.area + b.area - inter
+    return inter / union
+
+
+def greedy_nms(dets, iou_threshold):
+    """The object-level per-class NMS loop that ``nms`` replaced, verbatim."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    kept: list[int] = []
+    for i in order:
+        d = dets[i]
+        if all(scalar_iou(d.box, dets[j].box) <= iou_threshold for j in kept if dets[j].class_id == d.class_id):
+            kept.append(i)
+    return [dets[i] for i in kept]
+
+
+def same_bits(x: float, y: float) -> bool:
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+coordinate = st.one_of(st.integers(-6, 6).map(float), st.floats(-1e3, 1e3, allow_nan=False))
+side = st.one_of(st.integers(1, 4).map(float), st.floats(1e-6, 1e3, allow_nan=False))
+
+
+@st.composite
+def any_box(draw):
+    """A box on the integer grid (touching and identical boxes are common) or
+    with arbitrary float corners."""
+    x1, y1 = draw(coordinate), draw(coordinate)
+    x2, y2 = x1 + draw(side), y1 + draw(side)
+    return BBox(x1, y1, x2, y2) if x2 > x1 and y2 > y1 else BBox(x1, y1, x1 + 1.0, y1 + 1.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(any_box(), any_box())
+def test_iou_is_the_scalar_formula_and_pairwise_iou_bit_for_bit(a, b):
+    want = scalar_iou(a, b)
+    assert same_bits(iou(a, b), want)
+    assert same_bits(float(pairwise_iou(a.as_array(), b.as_array())[0, 0]), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(any_box(), st.sampled_from([0.0, 0.3, 0.5, 1.0]), st.integers(1, 3)), max_size=12),
+       st.sampled_from([1e-12, 1 / 7, 1 / 3, 0.5, 1 - 1e-12]))
+def test_nms_equals_the_object_loop(items, iou_threshold):
+    dets = [ScoredBox(box, score, c) for box, score, c in items]
+    assert nms(dets, iou_threshold) == greedy_nms(dets, iou_threshold)

@@ -5,7 +5,8 @@ The dataset pins were captured from the code as it stood before scene
 generation was rewritten for speed; the rewrite must draw the same numbers in
 the same order, so every array it builds is bit-identical. The evaluation pins
 were captured from the per-detection matcher, before AP matching became array
-operations; every report and detection must keep its bytes.
+operations, and the two P=600 ones from the per-class NMS loop, before NMS ran
+all classes in lockstep; every report and detection must keep its bytes.
 
 To capture the pins again after a deliberate change of the scene streams, of
 an evaluation output or of a demo's output, run
@@ -74,12 +75,18 @@ def _golden(method: str) -> ToyModel:
     return ToyModel.from_json((TRAIN_GOLDENS / method / "model.json").read_text())
 
 
-def _prototype_model() -> ToyModel:
-    """Refinement heads aligned with the small world's class prototypes: sharp
+# The benchmark's stored model's world (4 classes, 16 dims, 3 branches) at the
+# proposal count of the wide training workload.
+WIDE = dict(num_proposals=600)
+
+
+def _prototype_model(world: dict = SMALL, branches: int = 2) -> ToyModel:
+    """Refinement heads aligned with the world's class prototypes: sharp
     scores with many true positives, and scores below the default floor."""
-    model = ToyModel.initialize(3, 8, 2, seed=0, init_scale=0.0)
+    config = SceneConfig(**world)
+    model = ToyModel.initialize(config.num_classes, config.feature_dim, branches, seed=0, init_scale=0.0)
     for w in model.w_ref:
-        w[:3] = 8.0 * class_prototypes(SceneConfig(**SMALL))
+        w[: config.num_classes] = 8.0 * class_prototypes(config)
     return model
 
 
@@ -100,6 +107,8 @@ EVAL_CASES = {
     "floor_empties_all": (lambda: _golden("opis"), SMALL, 60, dict(nms_iou=0.9, score_floor=0.25)),
     "one_class_one_dim": (lambda: ToyModel.initialize(1, 1, 2, seed=0, init_scale=1.0),
                           dict(num_classes=1, feature_dim=1), 60, {}),
+    "prototype_p600": (lambda: _prototype_model(WIDE, 3), WIDE, 20, {}),
+    "prototype_p600_floor_zero": (lambda: _prototype_model(WIDE, 3), WIDE, 20, dict(score_floor=0.0)),
 }
 
 
