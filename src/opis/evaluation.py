@@ -1,8 +1,10 @@
 """VOC-criterion metrics over synthetic scenes: per-class AP, mAP, CorLoc.
 
-``detect`` makes one NMS call per scene, over every class at once (see
-``nms_indices``). Detections stay columns (scene, class, score, box) from NMS
-through AP matching; a ``ScoredBox`` is built only when an element is read.
+``evaluate_scenes`` scores each scene once, then makes one NMS call per stack
+of scenes that share a proposal count, every class of every stacked scene in
+lockstep (see ``nms_indices``); ``detect`` is its one-scene case. Detections
+stay columns (scene, class, score, box) from NMS through AP matching; a
+``ScoredBox`` is built only when an element is read.
 
 In score order, a detection claims the ground truth of its class and scene that
 it overlaps most, when that IoU strictly exceeds the threshold (0.5 by default)
@@ -90,13 +92,38 @@ def detect(
     scores: np.ndarray | None = None,
 ) -> Detections:
     """Per-class NMS-filtered detections from branch-averaged scores, class by
-    class, from one ``nms_indices`` call; pass the scene's
-    ``branch_mean_scores`` as ``scores`` to reuse them."""
+    class: the one-scene case of ``evaluate_scenes``' detection. Pass the
+    scene's ``branch_mean_scores`` as ``scores`` to reuse them."""
     mean_scores = branch_mean_scores(model, scene) if scores is None else scores
-    class_scores = mean_scores[:-1]
-    rows, keep = nms_indices(scene.proposals, class_scores, nms_iou, class_scores >= score_floor)
-    return Detections([scene.scene_id], np.zeros(keep.size, dtype=np.int64), rows + 1, class_scores[rows, keep],
-                      scene.proposals[keep])
+    return Detections([scene.scene_id], *_detect([scene], [mean_scores], nms_iou, score_floor))
+
+
+# Bytes of the (S, P+1, P+1) suppression buffer per nms_indices call. On 50
+# scenes at P = 150, stacks of 11 scenes already got most of the lockstep gain
+# and larger budgets gained nothing more; at P = 2000 one scene exceeds it, so
+# such scenes go one per call.
+_NMS_BYTES = 2**20
+
+
+def _detect(scenes: Sequence[Scene], scores: Sequence[np.ndarray], nms_iou: float,
+            score_floor: float) -> tuple[np.ndarray, ...]:
+    """(scene position, class id, score, box) columns of the scenes' detections,
+    scene by scene in input order, class by class, from one ``nms_indices``
+    call per stack of scenes that share a proposal count."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for position, mean_scores in enumerate(scores):
+        groups.setdefault(mean_scores.shape, []).append(position)
+    found = []
+    for (_, n), positions in groups.items():
+        stacks = -(-len(positions) // max(1, _NMS_BYTES // (n + 1) ** 2))
+        for stack in np.array_split(np.array(positions), stacks):
+            class_scores = np.stack([scores[p][:-1] for p in stack])
+            boxes = np.stack([scenes[p].proposals for p in stack])
+            scene, rows, keep = nms_indices(boxes, class_scores, nms_iou, class_scores >= score_floor)
+            found.append((stack[scene], rows + 1, class_scores[scene, rows, keep], boxes[scene, keep]))
+    position, class_id, score, box = (np.concatenate(column) for column in zip(*found))
+    order = np.argsort(position, kind="stable")
+    return position[order], class_id[order], score[order], box[order]
 
 
 def _class_ap(dets: Detections, gts: tuple[np.ndarray, np.ndarray, np.ndarray], iou_thresh: float) -> dict[int, float]:
@@ -233,19 +260,12 @@ def evaluate_scenes(
     Returns the report and the (scene_id, detection) records that produced
     it, scene by scene in input order.
     """
-    scores: dict[int, np.ndarray] = {}
-    found = []
-    for scene in scenes:
-        scores[id(scene)] = branch_mean_scores(model, scene)
-        found.append(detect(model, scene, nms_iou=nms_iou, score_floor=score_floor, scores=scores[id(scene)]))
-    # CorLoc first: it names an empty scene set before the columns would.
-    corloc_value = corloc(model, scenes, iou_thresh, score_fn=lambda scene: scores[id(scene)])
+    scores = [branch_mean_scores(model, scene) for scene in scenes]
+    by_scene = {id(scene): mean_scores for scene, mean_scores in zip(scenes, scores)}
+    # CorLoc first: it names an empty scene set before any stacking would.
+    corloc_value = corloc(model, scenes, iou_thresh, score_fn=lambda scene: by_scene[id(scene)])
+    records = DetectionRecords([scene.scene_id for scene in scenes], *_detect(scenes, scores, nms_iou, score_floor))
     position = np.arange(len(scenes))
-    records = DetectionRecords(
-        [scene.scene_id for scene in scenes],
-        np.repeat(position, [len(d) for d in found]),
-        *(np.concatenate([getattr(d, name) for d in found]) for name in ("class_id", "score", "box")),
-    )
     gts = (
         np.repeat(position, [scene.gt_classes.size for scene in scenes]),
         np.concatenate([scene.gt_classes for scene in scenes]),

@@ -61,29 +61,41 @@ def iou(a: BBox, b: BBox) -> float:
 
 
 def pairwise_iou(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """IoU matrix between two (N, 4) / (M, 4) box arrays, shape (N, M).
+    """IoU matrix between two (N, 4) / (M, 4) box arrays, shape (N, M), or
+    between stacks of them, (..., N, 4) / (..., M, 4) to (..., N, M).
 
     Rows must already satisfy x2 > x1 and y2 > y1. Entry (i, j) is bitwise
     the same as entry (j, i) of the swapped call; the loops run along M, so
     put the longer set second.
     """
-    # Coordinate-major: a is (4, N, 1), b is (4, 1, M) with M contiguous.
-    a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4).T[:, :, None]
-    b = np.ascontiguousarray(np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4).T)[:, None, :]
-    extent = np.minimum(a[2:], b[2:]) - np.maximum(a[:2], b[:2])  # (2, N, M) overlap width, height
+    a = np.asarray(boxes_a, dtype=np.float64)
+    b = np.asarray(boxes_b, dtype=np.float64)
+    # Coordinate columns of a, (..., N, 1), against contiguous rows of b, (..., 1, M).
+    a = a.reshape(a.shape[:-2] + (-1, 4))[..., None]
+    b = np.ascontiguousarray(b.reshape(b.shape[:-2] + (-1, 4)).swapaxes(-1, -2))
+    ax1, ay1, ax2, ay2 = a[..., 0, :], a[..., 1, :], a[..., 2, :], a[..., 3, :]
+    bx1, by1, bx2, by2 = b[..., 0:1, :], b[..., 1:2, :], b[..., 2:3, :], b[..., 3:4, :]
+    # Per-coordinate (N, M) buffers updated in place stay in cache where the
+    # (2, N, M) temporaries of one broadcast did not; the IEEE operations and
+    # their order are the same, so every entry is too.
+    w = np.minimum(ax2, bx2)
+    w -= np.maximum(ax1, bx1)
     # x - x is +0.0, so clamping with maximum keeps the sign of every zero.
-    np.maximum(extent, 0.0, out=extent)
-    inter = np.multiply(extent[0], extent[1])
-    size_a = a[2:] - a[:2]
-    size_b = b[2:] - b[:2]
-    union = size_a[0] * size_a[1] + size_b[0] * size_b[1] - inter
-    return np.divide(inter, union, out=inter)
+    np.maximum(w, 0.0, out=w)
+    h = np.minimum(ay2, by2)
+    h -= np.maximum(ay1, by1)
+    np.maximum(h, 0.0, out=h)
+    w *= h  # the intersection
+    np.add((ax2 - ax1) * (ay2 - ay1), (bx2 - bx1) * (by2 - by1), out=h)
+    h -= w  # the union
+    return np.divide(w, h, out=w)
 
 
-# IoUs per pairwise_iou call while nms_indices fills its suppression matrix.
-# Blocks this size keep the float temporaries in cache, which measured faster
-# than one P x P call at P = 150 to 2000, and memory near the P² bytes kept.
-_IOU_BLOCK = 2**14
+# IoUs per pairwise_iou call while nms_indices fills its suppression buffer.
+# Strips this size keep the float temporaries in cache: they measured as fast
+# as or faster than 2**14 and 2**16 at P = 150 (25 scenes), 600 and 2000, and
+# keep memory near the S·P² bytes kept.
+_IOU_BLOCK = 2**15
 
 
 def nms_indices(
@@ -91,52 +103,67 @@ def nms_indices(
     scores: np.ndarray,
     iou_threshold: float,
     candidates: np.ndarray | None = None,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray | tuple[np.ndarray, ...]:
     """Greedy NMS; returns kept indices in descending-score order.
 
-    ``scores`` is (P,) for one class, or (C, P) for C classes over the same P
-    boxes, each row its own greedy pass. ``candidates``, shaped like
-    ``scores``, marks the boxes a row may keep or suppress with (default: all).
-    Ties in score keep the lower index first. A candidate is suppressed only
-    when its IoU with a box its row kept strictly exceeds the threshold. A
-    (C, P) call returns the (rows, indices) of the kept boxes, row by row.
+    ``scores`` is (P,) for one class of (P, 4) ``boxes``, (C, P) for C classes
+    over the same boxes, or (S, C, P) for S scenes of (S, P, 4) boxes; each
+    row is its own greedy pass. ``candidates``, shaped like ``scores``, marks
+    the boxes a row may keep or suppress with (default: all). Ties in score
+    keep the lower index first. A candidate is suppressed only when its IoU
+    with a box its row kept strictly exceeds the threshold. A (C, P) call
+    returns the (rows, indices) of the kept boxes, row by row; an (S, C, P)
+    call returns (scenes, rows, indices), scene by scene, each scene's as its
+    own (C, P) call would.
 
-    The rows advance in lockstep over one (P, P) suppression matrix of P²
-    bytes, filled in row blocks of about 16k IoUs; the greedy steps are as
-    many as the most boxes one row keeps.
+    All S·C rows advance in lockstep over one (S, P, P) suppression buffer of
+    S·P² bytes, filled in strips of rows across the scenes of about 32k IoUs
+    each; the greedy steps are as many as the most boxes one row keeps.
     """
-    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    stacked = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    num_rows, n = stacked.shape
-    rows = np.arange(num_rows)
-    # key[r, i] is box i's place in row r's greedy order, or n once it is out.
-    key = np.empty((num_rows, n), dtype=np.int64)
-    key[rows[:, None], np.argsort(-stacked, axis=1, kind="stable")] = np.arange(n)
+    stacked = np.asarray(scores, dtype=np.float64)
+    stacked = stacked.reshape((1,) * (3 - stacked.ndim) + stacked.shape)
+    num_scenes, num_classes, n = stacked.shape
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(num_scenes, n, 4)
+    num_rows = num_scenes * num_classes
+    # key[r, i] is box i's place in row r's greedy order, or n + 1 once it is
+    # out. Column n is each row's last resort: argmin reaches it, at key n,
+    # only when the row has no candidate left.
+    key = np.empty((num_rows, n + 1), dtype=np.int64)
+    rows = np.arange(num_rows)[:, None]
+    key[rows, np.argsort(-stacked.reshape(num_rows, n), axis=1, kind="stable")] = np.arange(n)
+    key[:, n] = n
     if candidates is not None:
-        key[~np.asarray(candidates, dtype=bool).reshape(key.shape)] = n
-    suppress = np.empty((n, n), dtype=bool)
-    block = max(1, _IOU_BLOCK // max(n, 1))
+        key[:, :n][~np.asarray(candidates, dtype=bool).reshape(num_rows, n)] = n + 1
+    # suppress[s, i] marks the boxes of scene s that kept box i takes out of
+    # its row, itself included; row and column n stay clear.
+    suppress = np.zeros((num_scenes, n + 1, n + 1), dtype=bool)
+    # Strips of rows of every scene at once, each against its columns from the
+    # strip's first row on: IoU is symmetric bit for bit, so each strip also
+    # fills its mirror, and below the strips' diagonal blocks nothing is computed.
+    block = max(1, _IOU_BLOCK // max(num_scenes * n, 1))
     for lo in range(0, n, block):
-        # IoU is symmetric bit for bit, so each row block also fills its mirror.
-        hi = lo + block
-        np.greater(pairwise_iou(boxes[lo:hi], boxes[lo:]), iou_threshold, out=suppress[lo:hi, lo:])
-        suppress[hi:, lo:hi] = suppress[lo:hi, hi:].T
-    np.fill_diagonal(suppress, True)  # a kept box leaves its row's candidates
+        hi = min(lo + block, n)
+        np.greater(pairwise_iou(boxes[:, lo:hi], boxes[:, lo:]), iou_threshold, out=suppress[:, lo:hi, lo:n])
+        suppress[:, hi:n, lo:hi] = suppress[:, lo:hi, hi:n].transpose(0, 2, 1)
+    suppress[:, np.arange(n), np.arange(n)] = True
+    # Row r reads its suppressions from row offset[r] + best of the flat buffer.
+    flat = suppress.reshape(-1, n + 1)
+    offset = np.repeat(np.arange(num_scenes) * (n + 1), num_classes)
     picks: list[np.ndarray] = []
-    ranks: list[np.ndarray] = []
     for _ in range(n):
         best = key.argmin(axis=1)
-        rank = key[rows, best]
-        if rank.min(initial=n) == n:
+        if n == best.min(initial=n):  # every row is done
             break
         picks.append(best)
-        ranks.append(rank)
-        np.putmask(key, suppress[best], n)  # rows already done stay at n
-    shape = (len(picks), num_rows)
-    live = np.array(ranks, dtype=np.int64).reshape(shape) < n
-    taken = np.where(live, np.array(picks, dtype=np.int64).reshape(shape), -1).T
-    kept = taken[taken >= 0]
-    return kept if np.ndim(scores) == 1 else (np.nonzero(taken >= 0)[0], kept)
+        np.putmask(key, flat.take(offset + best, axis=0), n + 1)  # rows already done stay put
+    taken = np.array(picks, dtype=np.int64).reshape(len(picks), num_rows).T
+    row, step = np.nonzero(taken < n)
+    kept = taken[row, step]
+    if np.ndim(scores) == 1:
+        return kept
+    if np.ndim(scores) == 2:
+        return row, kept
+    return row // num_classes, row % num_classes, kept
 
 
 def nms(dets: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox]:

@@ -6,7 +6,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to watch the lines stream.
 
 import functools
 import math
+import multiprocessing
+import os
 import statistics
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -265,10 +268,15 @@ def test_criterion_09_directional_end_to_end():
     assert cfg.eval_scenes == 100
     assert cfg.total_iterations == 4000
 
-    seeds = range(5)
+    methods, seeds = ("baseline", "pib_only", "opis"), range(5)
+    cells = [(method, seed) for method in methods for seed in seeds]
+    # The cells are independent, so they run in worker processes.
+    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, len(cells)),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        by_cell = dict(zip(cells, pool.map(_directional_cell, *zip(*cells))))
     medians = {}
-    for method in ("baseline", "pib_only", "opis"):
-        results = [_directional_cell(method, s) for s in seeds]
+    for method in methods:
+        results = [by_cell[method, s] for s in seeds]
         medians[method] = (
             statistics.median(r[0] for r in results),
             statistics.median(r[1] for r in results),

@@ -1,8 +1,9 @@
 """Detection metrics: hand-built precision-recall fixtures, rank invariance,
 greedy matching rules, and the CorLoc counter. AP matching is checked against
-the per-detection matcher and running-max envelope it replaced, and the one
-NMS call per scene against the per-class greedy loop it replaced, both kept
-here verbatim as oracles."""
+the per-detection matcher and running-max envelope it replaced, and the
+lockstep NMS against the per-class greedy loop it replaced, both kept here
+verbatim as oracles. A stack of scenes in one NMS call must keep what each
+scene's own call keeps."""
 
 import dataclasses
 
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 from opis import evaluation
 from opis.evaluation import (
     UndefinedAPError,
+    DetectionRecords,
     Detections,
+    MetricsReport,
     _class_ap,
     branch_mean_scores,
     corloc,
@@ -234,7 +237,11 @@ class TestEvaluateScenes:
         assert len(lines) == len(records)
         assert report.to_json() == report.to_json()  # deterministic
 
-    def test_empty_scene_set_names_the_missing_pairs(self):
+    def test_empty_scene_set_names_the_missing_pairs(self, monkeypatch):
+        def no_stacking(*args):
+            raise AssertionError("detection ran on an empty scene set")
+
+        monkeypatch.setattr(evaluation, "_detect", no_stacking)
         with pytest.raises(ValueError, match=r"no \(scene, present class\) pairs"):
             evaluate_scenes(ToyModel.initialize(3, 8, 2, seed=0), [])
 
@@ -382,22 +389,22 @@ class TestOneScoringPerScene:
         cfg = SceneConfig(num_classes=3, feature_dim=8, num_proposals=30)
         return generate_dataset(cfg, 5, 6), ToyModel.initialize(3, 8, 2, seed=2, init_scale=0.7)
 
-    def test_forward_once_and_detect_once_per_scene(self, monkeypatch):
+    def test_forward_once_per_scene_and_records_equal_detect(self, monkeypatch):
+        """Detection runs on stacks of scenes, not scene by scene through
+        ``detect``; each scene's records are still what ``detect`` gives."""
         scenes, model = self.scenes_and_model()
-        calls = {"forward": [], "detect": []}
+        calls = []
 
-        def counted(name, fn):
-            def wrapper(model, scene, *args, **kwargs):
-                calls[name].append(scene.scene_id)
-                return fn(model, scene, *args, **kwargs)
-            return wrapper
+        def counted(model, scene):
+            calls.append(scene.scene_id)
+            return forward(model, scene)
 
         expected, _ = evaluate_scenes(model, scenes)
-        monkeypatch.setattr(evaluation, "forward", counted("forward", forward))
-        monkeypatch.setattr(evaluation, "detect", counted("detect", detect))
-        report, _ = evaluate_scenes(model, scenes)
-        assert calls["forward"] == calls["detect"] == [s.scene_id for s in scenes]
+        monkeypatch.setattr(evaluation, "forward", counted)
+        report, records = evaluate_scenes(model, scenes)
+        assert calls == [s.scene_id for s in scenes]
         assert report == expected
+        assert list(records) == [(s.scene_id, d) for s in scenes for d in detect(model, s)]
 
     @pytest.mark.parametrize("kwargs", [{}, dict(score_floor=0.0), dict(nms_iou=0.01), dict(score_floor=0.3)])
     def test_detect_on_given_scores_equals_detect(self, kwargs):
@@ -513,3 +520,84 @@ def test_scenes_sharing_an_id_keep_their_own_ground_truths():
     ids = [scene_id for scene_id, _ in records]
     assert ids == [scene_id % 10 for scene_id, _ in apart_records] and max(ids) == 9
     assert dump_detections(records).count('"scene_id": 9,') == ids.count(9)
+
+
+def test_one_evaluation_over_two_proposal_counts_equals_per_scene_detect(monkeypatch):
+    """Scenes of 30 and 40 proposals, interleaved, go to NMS in one stack per
+    proposal count; the records come back in input order and equal each
+    scene's ``detect``, and the report is the one those records give."""
+    model = ToyModel.initialize(3, 8, 2, seed=2, init_scale=0.7)
+    a = generate_dataset(SceneConfig(num_classes=3, feature_dim=8, num_proposals=30), 5, 4)
+    b = generate_dataset(SceneConfig(num_classes=3, feature_dim=8, num_proposals=40), 6, 3)
+    scenes = [a[0], b[0], a[1], a[2], b[1], b[2], a[3]]
+    report, records = evaluate_scenes(model, scenes)
+
+    per_scene = [detect(model, scene) for scene in scenes]
+    assert list(records) == [(scene.scene_id, d) for scene, dets in zip(scenes, per_scene) for d in dets]
+    columns = DetectionRecords(
+        [scene.scene_id for scene in scenes],
+        np.repeat(np.arange(len(scenes)), [len(dets) for dets in per_scene]),
+        *(np.concatenate([getattr(dets, name) for dets in per_scene]) for name in ("class_id", "score", "box")),
+    )
+    gts = (np.repeat(np.arange(len(scenes)), [scene.gt_classes.size for scene in scenes]),
+           np.concatenate([scene.gt_classes for scene in scenes]),
+           np.concatenate([scene.gt_boxes for scene in scenes]))
+    per_class = _class_ap(columns, gts, 0.5)
+    assert report == MetricsReport(per_class, float(np.mean(list(per_class.values()))), corloc(model, scenes),
+                                   len(scenes), len(columns))
+
+    monkeypatch.setattr(evaluation, "_NMS_BYTES", 0)  # one scene per NMS call
+    assert evaluate_scenes(model, scenes) == (report, records)
+
+
+@st.composite
+def scene_stacks(draw):
+    """S scenes of P proposals each, laid out so that their kept counts differ
+    widely (copies of one box keep one per class, a row of disjoint boxes
+    keeps every candidate, grid boxes often tie or touch), with (S, C+1, P)
+    scores from a few tied values, an NMS threshold at which nothing, or
+    anything that overlaps, or a third is suppressed, and a score floor from
+    0 to above every score."""
+    num_scenes, num_classes, p = draw(st.integers(1, 7)), draw(st.integers(1, 3)), draw(st.integers(1, 10))
+    layouts = []
+    for _ in range(num_scenes):
+        layout = draw(st.sampled_from(["copies", "disjoint", "grid"]))
+        if layout == "copies":
+            layouts.append([[0.0, 0.0, 2.0, 2.0]] * p)
+        elif layout == "disjoint":
+            layouts.append([[3.0 * i, 0.0, 3.0 * i + 2.0, 2.0] for i in range(p)])
+        else:
+            layouts.append([draw(grid_box()).as_array() for _ in range(p)])
+    values = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9, 1.0])
+    size = num_scenes * (num_classes + 1) * p
+    scores = np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(num_scenes, num_classes + 1, p)
+    nms_iou = draw(st.sampled_from([1e-12, 1 / 3, 1.0]))
+    score_floor = draw(st.sampled_from([0.0, 0.25, 1.5]))
+    return np.array(layouts, dtype=np.float64).reshape(num_scenes, p, 4), scores, nms_iou, score_floor
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scene_stacks(), st.integers(0, 4))
+def test_stacked_nms_keeps_what_each_scene_keeps(stack, scenes_per_call):
+    """One (S, C, P) ``nms_indices`` call, and detection cut into stacks of at
+    most ``scenes_per_call`` scenes (0: one each), keep each scene's own
+    (C, P) call's (rows, kept), scene by scene."""
+    boxes, scores, nms_iou, score_floor = stack
+    class_scores = scores[:, :-1]
+    own = [nms_indices(b, s, nms_iou, s >= score_floor) for b, s in zip(boxes, class_scores)]
+    scene, rows, kept = nms_indices(boxes, class_scores, nms_iou, class_scores >= score_floor)
+    assert np.array_equal(scene, np.repeat(np.arange(len(boxes)), [k.size for _, k in own]))
+    assert np.array_equal(rows, np.concatenate([r for r, _ in own]))
+    assert np.array_equal(kept, np.concatenate([k for _, k in own]))
+
+    scenes = [scene_with_scores(i, [[0, 0, 1, 1]], [1], b, num_classes=scores.shape[1] - 1)
+              for i, b in enumerate(boxes)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "_NMS_BYTES", scenes_per_call * (boxes.shape[1] + 1) ** 2)
+        position, class_id, score, box = evaluation._detect(scenes, list(scores), nms_iou, score_floor)
+    assert np.all(np.diff(position) >= 0)
+    for i, (r, k) in enumerate(own):
+        mine = position == i
+        assert np.array_equal(class_id[mine], r + 1)
+        assert np.array_equal(score[mine], class_scores[i, r, k])
+        assert np.array_equal(box[mine], boxes[i, k])

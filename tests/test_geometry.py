@@ -1,6 +1,7 @@
 """Box arithmetic: IoU against a rasterization oracle, NMS contracts. The
 scalar IoU formula and the object-level NMS loop that ``iou`` and ``nms`` now
-reach through ``pairwise_iou`` and ``nms_indices`` are kept here as oracles."""
+reach through ``pairwise_iou`` and ``nms_indices`` are kept here as oracles,
+and so is the broadcast ``pairwise_iou`` that the per-coordinate one replaced."""
 
 import math
 
@@ -223,3 +224,57 @@ def test_iou_is_the_scalar_formula_and_pairwise_iou_bit_for_bit(a, b):
 def test_nms_equals_the_object_loop(items, iou_threshold):
     dets = [ScoredBox(box, score, c) for box, score, c in items]
     assert nms(dets, iou_threshold) == greedy_nms(dets, iou_threshold)
+
+
+def broadcast_pairwise_iou(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
+    """The (2, N, M) broadcast ``pairwise_iou`` that the per-coordinate kernel replaced, verbatim."""
+    # Coordinate-major: a is (4, N, 1), b is (4, 1, M) with M contiguous.
+    a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4).T[:, :, None]
+    b = np.ascontiguousarray(np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4).T)[:, None, :]
+    extent = np.minimum(a[2:], b[2:]) - np.maximum(a[:2], b[:2])  # (2, N, M) overlap width, height
+    # x - x is +0.0, so clamping with maximum keeps the sign of every zero.
+    np.maximum(extent, 0.0, out=extent)
+    inter = np.multiply(extent[0], extent[1])
+    size_a = a[2:] - a[:2]
+    size_b = b[2:] - b[:2]
+    union = size_a[0] * size_a[1] + size_b[0] * size_b[1] - inter
+    return np.divide(inter, union, out=inter)
+
+
+def related_box(box: BBox, how: str) -> BBox:
+    """A box identical to, touching, nested in or disjoint from ``box``; the box
+    itself where float rounding would leave the new one without area."""
+    x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
+    w, h = x2 - x1, y2 - y1
+    corners = {
+        "identical": (x1, y1, x2, y2),
+        "touching": (x2, y1, x2 + w, y2),  # shares the right edge
+        "nested": (x1 + w / 4, y1 + h / 4, x2 - w / 4, y2 - h / 4),
+        "disjoint": (x2 + w, y2 + h, x2 + 2 * w, y2 + 2 * h),
+    }[how]
+    return BBox(*corners) if corners[2] > corners[0] and corners[3] > corners[1] else box
+
+
+@st.composite
+def box_sets(draw):
+    """Two (N, 4) / (M, 4) box arrays; each box of the second is drawn afresh
+    or made identical to, touching, nested in or disjoint from one of the first."""
+    first = draw(st.lists(any_box(), min_size=1, max_size=12))
+    relations = st.sampled_from(["fresh", "identical", "touching", "nested", "disjoint"])
+    second = []
+    for _ in range(draw(st.integers(1, 12))):
+        how = draw(relations)
+        second.append(draw(any_box()) if how == "fresh" else related_box(draw(st.sampled_from(first)), how))
+    return np.array([b.as_array() for b in first]), np.array([b.as_array() for b in second])
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_sets())
+def test_pairwise_iou_is_the_broadcast_kernel_bit_for_bit(boxes):
+    a, b = boxes
+    for x, y in ((a, b), (b, a), (a[:1], b), (b, a[:1]), (a[0], b[0])):
+        assert np.array_equal(pairwise_iou(x, y).view(np.int64), broadcast_pairwise_iou(x, y).view(np.int64))
+    assert np.array_equal(pairwise_iou(b, a).T.view(np.int64), pairwise_iou(a, b).view(np.int64))
+    stacked = pairwise_iou(np.stack([a, a[::-1]]), np.stack([b, b[::-1]]))  # a stack is its slices' calls
+    assert np.array_equal(stacked.view(np.int64), np.stack([broadcast_pairwise_iou(a, b),
+                                                            broadcast_pairwise_iou(a[::-1], b[::-1])]).view(np.int64))
