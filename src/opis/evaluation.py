@@ -1,10 +1,14 @@
 """VOC-criterion metrics over synthetic scenes: per-class AP, mAP, CorLoc.
 
-``evaluate_scenes`` scores each scene once, then makes one NMS call per stack
-of scenes that share a proposal count, every class of every stacked scene in
-lockstep (see ``nms_indices``); ``detect`` is its one-scene case. Detections
-stay columns (scene, class, score, box) from NMS through AP matching; a
-``ScoredBox`` is built only when an element is read.
+``evaluate_scenes`` scores each scene once, in stacks of scenes that share a
+proposal count: one forward pass (``_score_stack``) per stack of about 9
+default scenes, one argmax over the stack's scores for CorLoc. NMS then runs
+once per larger stack, every class of every stacked scene in lockstep (see
+``nms_indices``); ``detect`` is its one-scene case. Detections stay columns
+(scene, class, score, box) from NMS through AP matching; a ``ScoredBox`` is
+built only when an element is read. CorLoc's top boxes and every detection
+are matched against their own scene's ground truths in one pass over the
+whole scene set.
 
 In score order, a detection claims the ground truth of its class and scene that
 it overlaps most, when that IoU strictly exceeds the threshold (0.5 by default)
@@ -18,12 +22,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .geometry import BBox, ScoredBox, nms_indices, pairwise_iou
-from .harness import Scene, ToyModel, forward
+from .harness import Scene, ToyModel, _score_stack, forward
 
 __all__ = [
     "UndefinedAPError",
@@ -103,6 +107,43 @@ def detect(
 # and larger budgets gained nothing more; at P = 2000 one scene exceeds it, so
 # such scenes go one per call.
 _NMS_BYTES = 2**20
+# Bytes of the (S, R, P) logits buffer per _score_stack call: 9 scenes of the
+# default world. On 50 default scenes, 2**17, 2**18, 2**19 and 2**21 bytes gave
+# best evaluate_scenes times of 13.5, 12.7, 12.9 and 13.7 ms, and one 50-scene
+# stack (2**21) raised peak memory by 2.6 MB where the others did not.
+_SCORE_BYTES = 2**18
+
+
+def _stacks(keys: Sequence, scenes_per_stack: Callable) -> Iterator[tuple[object, list[np.ndarray]]]:
+    """Positions of equal keys, in order of first appearance, each group cut
+    into near-equal stacks of at most ``scenes_per_stack(key)`` (at least 1)."""
+    groups: dict[object, list[int]] = {}
+    for position, key in enumerate(keys):
+        groups.setdefault(key, []).append(position)
+    for key, positions in groups.items():
+        yield key, np.array_split(np.array(positions), -(-len(positions) // max(1, scenes_per_stack(key))))
+
+
+def _scored_stacks(model: ToyModel, scenes: Sequence[Scene]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(positions, (S, C+1, P) ``branch_mean_scores``) of each stack of scenes
+    that share a feature shape, scored with one ``_score_stack`` call. A
+    non-finite stack names its first non-finite scene."""
+    c, k, rows = model.num_classes, model.num_branches, model.weights.shape[0]
+    shapes = [scene.features.shape for scene in scenes]
+    for (p, _), stacks in _stacks(shapes, lambda shape: _SCORE_BYTES // (8 * rows * shape[0])):
+        # Zeroed, so that a matmul that fails on shapes leaves no non-finite entry.
+        logits, phis = np.zeros((stacks[0].size, rows, p)), np.empty((stacks[0].size, k + 1, c + 1, p))
+        for stack in stacks:
+            n = stack.size
+            try:
+                _score_stack(model, np.stack([scenes[i].features for i in stack]), logits[:n], phis[:n, 0],
+                             phis[:n, 1:])
+            except ValueError as exc:
+                finite = np.isfinite(logits[:n]).all(axis=(1, 2))
+                if finite.all():
+                    raise
+                raise ValueError(f"scene {scenes[stack[finite.argmin()]].scene_id}: {exc}") from exc
+            yield stack, np.mean(phis[:n, 1:], axis=1)
 
 
 def _detect(scenes: Sequence[Scene], scores: Sequence[np.ndarray], nms_iou: float,
@@ -110,13 +151,10 @@ def _detect(scenes: Sequence[Scene], scores: Sequence[np.ndarray], nms_iou: floa
     """(scene position, class id, score, box) columns of the scenes' detections,
     scene by scene in input order, class by class, from one ``nms_indices``
     call per stack of scenes that share a proposal count."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for position, mean_scores in enumerate(scores):
-        groups.setdefault(mean_scores.shape, []).append(position)
     found = []
-    for (_, n), positions in groups.items():
-        stacks = -(-len(positions) // max(1, _NMS_BYTES // (n + 1) ** 2))
-        for stack in np.array_split(np.array(positions), stacks):
+    shapes = [mean_scores.shape for mean_scores in scores]
+    for _, stacks in _stacks(shapes, lambda shape: _NMS_BYTES // (shape[1] + 1) ** 2):
+        for stack in stacks:
             class_scores = np.stack([scores[p][:-1] for p in stack])
             boxes = np.stack([scenes[p].proposals for p in stack])
             scene, rows, keep = nms_indices(boxes, class_scores, nms_iou, class_scores >= score_floor)
@@ -126,23 +164,46 @@ def _detect(scenes: Sequence[Scene], scores: Sequence[np.ndarray], nms_iou: floa
     return position[order], class_id[order], score[order], box[order]
 
 
+def _gt_columns(scenes: Sequence[Scene]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(scene position, class, box) columns of the scenes' ground truths."""
+    return (np.repeat(np.arange(len(scenes)), [scene.gt_classes.size for scene in scenes]),
+            np.concatenate([scene.gt_classes for scene in scenes]),
+            np.concatenate([scene.gt_boxes for scene in scenes]).reshape(-1, 4))
+
+
+def _best_match(scene: np.ndarray, class_id: np.ndarray, box: np.ndarray,
+                gts: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """For each (scene, class, box) query, the ground truth of its scene and
+    class that it overlaps most (the first of equals), as a position in
+    ``gts``, and that overlap; -inf (and position 0) where there is none."""
+    gt_scene, gt_class, gt_box = gts
+    # Keys number the (scene position, class) pairs densely. The ground truths
+    # of one pair are one run of the stably sorted keys, walked slot by slot.
+    class0 = min(class_id.min(initial=0), gt_class.min(initial=0))
+    span = max(class_id.max(initial=0), gt_class.max(initial=0)) - class0 + 1
+    gt_key = gt_scene * span + (gt_class - class0)
+    key = scene * span + (class_id - class0)
+    runs = np.bincount(gt_key, minlength=key.max(initial=0) + 1)
+    start, size = (np.cumsum(runs) - runs)[key], runs[key]
+    order = np.argsort(gt_key, kind="stable")
+    best, overlap = np.zeros(key.size, dtype=np.int64), np.full(key.size, -np.inf)
+    for slot in range(int(size.max(initial=0))):
+        q = np.flatnonzero(size > slot)
+        g = order[start[q] + slot]
+        iou = pairwise_iou(box[q][:, None], gt_box[g][:, None])[:, 0, 0]
+        better = iou > overlap[q]
+        best[q[better]], overlap[q[better]] = g[better], iou[better]
+    return best, overlap
+
+
 def _class_ap(dets: Detections, gts: tuple[np.ndarray, np.ndarray, np.ndarray], iou_thresh: float) -> dict[int, float]:
     """AP of every class that has ground truth, in class order, from the
     detections' columns and (scene, class, box) ground-truth columns."""
-    det_scene, det_class, det_score, det_box = dets.scene, dets.class_id, dets.score, dets.box
-    gt_scene, gt_class, gt_box = gts
-    # Each detection's most-overlapped ground truth of its class and scene (the
-    # first of equals) and whether that overlap clears the threshold.
-    best = np.zeros(det_score.size, dtype=np.int64)
-    hit = np.zeros(det_score.size, dtype=bool)
-    for scene in dict.fromkeys(gt_scene.tolist()):
-        d = np.flatnonzero(det_scene == scene)
-        g = np.flatnonzero(gt_scene == scene)
-        overlaps = pairwise_iou(det_box[d], gt_box[g])
-        overlaps[det_class[d, None] != gt_class[g]] = -np.inf
-        j = overlaps.argmax(axis=1)
-        best[d] = g[j]
-        hit[d] = overlaps[np.arange(d.size), j] > iou_thresh
+    det_class, det_score, gt_class = dets.class_id, dets.score, gts[1]
+    # Each detection's most-overlapped ground truth of its class and scene and
+    # whether that overlap clears the threshold.
+    best, overlap = _best_match(dets.scene, det_class, dets.box, gts)
+    hit = overlap > iou_thresh
     aps = {}
     for c in sorted(set(gt_class.tolist())):
         # Score order, ties in input order.
@@ -211,21 +272,30 @@ def corloc(
     if score_fn is None:
         if model is None:
             raise ValueError("either a model or a score_fn is required")
-        score_fn = lambda s: branch_mean_scores(model, s)
-    hits = 0
-    total = 0
-    for scene in scenes:
-        class_scores = np.asarray(score_fn(scene), dtype=np.float64)
-        for c in np.flatnonzero(scene.image_label > 0) + 1:
-            total += 1
-            top = int(np.argmax(class_scores[c - 1]))
-            gt = scene.gt_boxes[scene.gt_classes == c]
-            overlap = pairwise_iou(scene.proposals[top : top + 1], gt)[0]
-            if np.any(overlap > iou_thresh):
-                hits += 1
-    if total == 0:
+        stacks = _scored_stacks(model, scenes)
+    else:
+        scores = [np.asarray(score_fn(scene), dtype=np.float64) for scene in scenes]
+        stacks = ((stack, np.stack([scores[i] for i in stack]))
+                  for _, group in _stacks([s.shape for s in scores], lambda _: len(scenes)) for stack in group)
+    return _corloc(scenes, stacks, iou_thresh)
+
+
+def _corloc(scenes: Sequence[Scene], stacks: Iterable[tuple[np.ndarray, np.ndarray]], iou_thresh: float) -> float:
+    """CorLoc of the scenes from (positions, (S, C or more, P) class scores)
+    stacks that cover them: one argmax per stack for the top proposal of every
+    present class, then one matching pass over the whole set."""
+    tops = []
+    for stack, class_scores in stacks:
+        present = np.stack([scenes[i].image_label for i in stack]) > 0
+        s, c = np.nonzero(present)
+        top = class_scores[:, : present.shape[1]].argmax(axis=2)
+        tops.append((stack[s], c + 1, np.stack([scenes[i].proposals for i in stack])[s, top[s, c]]))
+    columns = [np.concatenate(column) for column in zip(*tops)]
+    if not columns or columns[0].size == 0:
         raise ValueError("no (scene, present class) pairs to evaluate")
-    return hits / total
+    scene, class_id, box = columns
+    _, overlap = _best_match(scene, class_id, box, _gt_columns(scenes))
+    return int(np.count_nonzero(overlap > iou_thresh)) / scene.size
 
 
 @dataclass
@@ -255,23 +325,21 @@ def evaluate_scenes(
     iou_thresh: float = 0.5,
 ) -> tuple[MetricsReport, DetectionRecords]:
     """Detect on every scene and compute mAP plus CorLoc over the whole set.
-    Each scene is scored once; detection and CorLoc share its scores.
+    Each scene is scored once, in a stack of scenes; detection and CorLoc
+    share its scores.
 
     Returns the report and the (scene_id, detection) records that produced
     it, scene by scene in input order.
     """
-    scores = [branch_mean_scores(model, scene) for scene in scenes]
-    by_scene = {id(scene): mean_scores for scene, mean_scores in zip(scenes, scores)}
-    # CorLoc first: it names an empty scene set before any stacking would.
-    corloc_value = corloc(model, scenes, iou_thresh, score_fn=lambda scene: by_scene[id(scene)])
+    stacks = list(_scored_stacks(model, scenes))
+    # CorLoc first: it names an empty scene set before detection would.
+    corloc_value = _corloc(scenes, stacks, iou_thresh)
+    scores: list[np.ndarray] = [None] * len(scenes)
+    for stack, mean_scores in stacks:
+        for i, scene_scores in zip(stack.tolist(), mean_scores):
+            scores[i] = scene_scores
     records = DetectionRecords([scene.scene_id for scene in scenes], *_detect(scenes, scores, nms_iou, score_floor))
-    position = np.arange(len(scenes))
-    gts = (
-        np.repeat(position, [scene.gt_classes.size for scene in scenes]),
-        np.concatenate([scene.gt_classes for scene in scenes]),
-        np.concatenate([scene.gt_boxes for scene in scenes]).reshape(-1, 4),
-    )
-    per_class = _class_ap(records, gts, iou_thresh)
+    per_class = _class_ap(records, _gt_columns(scenes), iou_thresh)
     report = MetricsReport(
         per_class_ap=per_class,
         mean_ap=float(np.mean(list(per_class.values()))),

@@ -276,6 +276,18 @@ def test_overflowing_scores_exit_3_in_one_line(command, source, config_path, tmp
     assert not (tmp_path / "e").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_eval_overflow_names_the_scene_and_tensor(config_path, tmp_path, capsys):
+    """Every scene of an all-1e308 model overflows; the one line names the
+    first scene of the set and the tensor."""
+    (tmp_path / "huge.json").write_text(_filled_model(1e308))
+    rc = main(["eval", "--model", str(tmp_path / "huge.json"), "--config", str(config_path),
+               "--out", str(tmp_path / "e")])
+    assert rc == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err == "numerical failure: non-finite values while scoring: scene 0: logits contains non-finite entries\n"
+
+
 DIVERGING = SMALL_CONFIG.replace("learning_rate = 0.3", "learning_rate = 1e9")
 HUGE_INIT = SMALL_CONFIG.replace("[model]\n", "[model]\ninit_scale = 1e308\n")
 

@@ -2,8 +2,11 @@
 greedy matching rules, and the CorLoc counter. AP matching is checked against
 the per-detection matcher and running-max envelope it replaced, and the
 lockstep NMS against the per-class greedy loop it replaced, both kept here
-verbatim as oracles. A stack of scenes in one NMS call must keep what each
-scene's own call keeps."""
+verbatim as oracles, as are the per-scene matcher and the per-(scene, class)
+CorLoc loop that one-pass matching and stacked scoring replaced. A stack of
+scenes in one NMS call must keep what each scene's own call keeps, and a
+stack scored in one forward pass must give each scene's own scores bit for
+bit."""
 
 import dataclasses
 
@@ -72,6 +75,13 @@ class TestVocAP:
 
     def test_no_detections_zero_ap(self):
         assert voc_ap([], GT_UNIT, 1) == 0.0
+
+    def test_ground_truth_classes_below_one_match_nothing(self):
+        """No detection has class 0 or -1, so their ground truths are never
+        found and do not disturb class 1's matching."""
+        gts = [(BBox(0, 0, 10, 10), -1), (BBox(0, 0, 10, 10), 0), *GT_UNIT]
+        dets = [det(0, 0, 10, 10, 0.9)]
+        assert [voc_ap(dets, gts, c) for c in (-1, 0, 1)] == [0.0, 0.0, 1.0]
 
     def test_rank_only_dependence(self):
         rng = np.random.default_rng(0)
@@ -384,26 +394,50 @@ def test_equal_overlaps_go_to_the_first_ground_truth():
     assert class_ap(*args) == oracle_class_ap(*args) == 0.5
 
 
+def test_equal_overlaps_go_to_the_first_ground_truth_in_a_shuffled_set():
+    """Sixty ground truths in shuffled scene order, two of the same class per
+    scene at IoU 1/3 to that scene's detection: each detection claims the one
+    that comes first in the input, as the per-scene matcher does."""
+    rng = np.random.default_rng(0)
+    boxes = np.array([[0, 0, 2, 2], [2, 0, 4, 2], [0, 0, 4, 2]] * 20, dtype=np.float64)
+    gts = (np.repeat(np.arange(20), 3), np.tile([1, 1, 2], 20), boxes)
+    gts = tuple(column[rng.permutation(60)] for column in gts)
+    dets = Detections(None, np.arange(20), np.ones(20, dtype=np.int64), np.full(20, 0.5),
+                      np.tile([1.0, 0.0, 3.0, 2.0], (20, 1)))
+    best, overlap = evaluation._best_match(dets.scene, dets.class_id, dets.box, gts)
+    oracle_best, oracle_hit = per_scene_matches(dets, gts, 0.3)
+    assert oracle_hit.all() and np.array_equal(overlap > 0.3, oracle_hit)
+    assert np.array_equal(best, oracle_best)
+
+
 class TestOneScoringPerScene:
     def scenes_and_model(self):
         cfg = SceneConfig(num_classes=3, feature_dim=8, num_proposals=30)
         return generate_dataset(cfg, 5, 6), ToyModel.initialize(3, 8, 2, seed=2, init_scale=0.7)
 
-    def test_forward_once_per_scene_and_records_equal_detect(self, monkeypatch):
-        """Detection runs on stacks of scenes, not scene by scene through
-        ``detect``; each scene's records are still what ``detect`` gives."""
+    def test_each_scene_scored_once_and_records_equal_detect(self, monkeypatch):
+        """Scoring runs on stacks of scenes, neither scene by scene through
+        ``forward`` nor once more for CorLoc; each scene's features go through
+        exactly one ``_score_stack`` call, and each scene's records are still
+        what ``detect`` gives."""
         scenes, model = self.scenes_and_model()
-        calls = []
+        scored, forwards = [], []
+        score_stack = evaluation._score_stack
 
-        def counted(model, scene):
-            calls.append(scene.scene_id)
-            return forward(model, scene)
+        def counted_stack(model, features, *buffers):
+            scored.extend(features)
+            return score_stack(model, features, *buffers)
 
         expected, _ = evaluate_scenes(model, scenes)
-        monkeypatch.setattr(evaluation, "forward", counted)
+        monkeypatch.setattr(evaluation, "_score_stack", counted_stack)
+        monkeypatch.setattr(evaluation, "forward", lambda *args: forwards.append(args))
+        monkeypatch.setattr(evaluation, "_SCORE_BYTES", 2 * 8 * model.weights.shape[0] * 30)  # two scenes a stack
         report, records = evaluate_scenes(model, scenes)
-        assert calls == [s.scene_id for s in scenes]
+        assert forwards == []
+        assert len(scored) == len(scenes)
+        assert all(sum(np.array_equal(f, s.features) for f in scored) == 1 for s in scenes)
         assert report == expected
+        monkeypatch.undo()
         assert list(records) == [(s.scene_id, d) for s in scenes for d in detect(model, s)]
 
     @pytest.mark.parametrize("kwargs", [{}, dict(score_floor=0.0), dict(nms_iou=0.01), dict(score_floor=0.3)])
@@ -601,3 +635,162 @@ def test_stacked_nms_keeps_what_each_scene_keeps(stack, scenes_per_call):
         assert np.array_equal(class_id[mine], r + 1)
         assert np.array_equal(score[mine], class_scores[i, r, k])
         assert np.array_equal(box[mine], boxes[i, k])
+
+
+def oracle_corloc(model, scenes, iou_thresh=0.5, score_fn=None):
+    """The per-(scene, class) CorLoc loop that stacked scoring replaced, verbatim."""
+    if score_fn is None:
+        if model is None:
+            raise ValueError("either a model or a score_fn is required")
+        score_fn = lambda s: branch_mean_scores(model, s)
+    hits = 0
+    total = 0
+    for scene in scenes:
+        class_scores = np.asarray(score_fn(scene), dtype=np.float64)
+        for c in np.flatnonzero(scene.image_label > 0) + 1:
+            total += 1
+            top = int(np.argmax(class_scores[c - 1]))
+            gt = scene.gt_boxes[scene.gt_classes == c]
+            overlap = pairwise_iou(scene.proposals[top : top + 1], gt)[0]
+            if np.any(overlap > iou_thresh):
+                hits += 1
+    if total == 0:
+        raise ValueError("no (scene, present class) pairs to evaluate")
+    return hits / total
+
+
+def per_scene_matches(dets, gts, iou_thresh):
+    """The per-scene matcher that the one-pass ``_best_match`` replaced,
+    verbatim: each detection's most-overlapped ground truth of its class and
+    scene (the first of equals) and whether that overlap clears the threshold."""
+    det_scene, det_class, det_score, det_box = dets.scene, dets.class_id, dets.score, dets.box
+    gt_scene, gt_class, gt_box = gts
+    best = np.zeros(det_score.size, dtype=np.int64)
+    hit = np.zeros(det_score.size, dtype=bool)
+    for scene in dict.fromkeys(gt_scene.tolist()):
+        d = np.flatnonzero(det_scene == scene)
+        g = np.flatnonzero(gt_scene == scene)
+        overlaps = pairwise_iou(det_box[d], gt_box[g])
+        overlaps[det_class[d, None] != gt_class[g]] = -np.inf
+        j = overlaps.argmax(axis=1)
+        best[d] = g[j]
+        hit[d] = overlaps[np.arange(d.size), j] > iou_thresh
+    return best, hit
+
+
+@st.composite
+def evaluation_sets(draw):
+    """Scenes of 1 to 6 grid proposals (mixed counts in one set) with ids from
+    {0, 1}, so that they share ids; 0 to 3 grid ground truths each (at least
+    one in the set), a present class that may lack ground truth, and seeded
+    features. The model may drive one class below every score floor, so that
+    it has ground truth but no detections; most scenes lack ground truth of
+    some class, so their detections of it match nothing."""
+    num_classes, dim, branches = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scenes = []
+    for i in range(draw(st.integers(1, 6))):
+        p = draw(st.sampled_from([1, 3, 6]))
+        gts = draw(st.lists(st.tuples(grid_box(), st.integers(1, num_classes)), min_size=int(i == 0), max_size=3))
+        label = np.zeros(num_classes, dtype=np.int8)
+        label[[c - 1 for _, c in gts]] = 1
+        if draw(st.booleans()):
+            label[draw(st.integers(0, num_classes - 1))] = 1
+        scenes.append(Scene(
+            scene_id=draw(st.integers(0, 1)),
+            proposals=np.array([draw(grid_box()).as_array() for _ in range(p)]),
+            features=rng.normal(size=(p, dim)),
+            image_label=label,
+            gt_boxes=np.array([b.as_array() for b, _ in gts]).reshape(-1, 4),
+            gt_classes=np.array([c for _, c in gts], dtype=np.int64),
+        ))
+    model = ToyModel.initialize(num_classes, dim, branches, seed=draw(st.integers(0, 9)), init_scale=2.0)
+    if draw(st.booleans()):
+        silent = draw(st.integers(0, num_classes - 1))
+        for b in model.b_ref:
+            b[silent] = -50.0
+    iou_thresh = draw(st.sampled_from([0.0, 1 / 3, 0.5, 0.7]))
+    return scenes, model, iou_thresh, draw(st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(evaluation_sets())
+def test_stacked_corloc_and_one_pass_matching_equal_the_per_scene_oracles(fixture):
+    """Over stacks of 1 to 4 scenes of the largest proposal count: CorLoc from
+    the model and from a ``score_fn`` equals the per-(scene, class) loop, and
+    every detection's match equals the per-scene matcher's."""
+    scenes, model, iou_thresh, per_stack = fixture
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "_SCORE_BYTES", per_stack * 8 * model.weights.shape[0] * 6)
+        report, records = evaluate_scenes(model, scenes, iou_thresh=iou_thresh)
+        assert report.corloc == oracle_corloc(model, scenes, iou_thresh)
+        assert corloc(model, scenes, iou_thresh) == report.corloc
+    tied = {id(s): np.random.default_rng(i).choice([0.0, 0.5, 1.0], size=(model.num_classes, s.num_proposals))
+            for i, s in enumerate(scenes)}
+    assert corloc(None, scenes, iou_thresh, score_fn=lambda s: tied[id(s)]) == oracle_corloc(
+        None, scenes, iou_thresh, score_fn=lambda s: tied[id(s)])
+
+    assert list(records) == [(s.scene_id, d) for s in scenes for d in detect(model, s)]
+    gts = (np.repeat(np.arange(len(scenes)), [s.gt_classes.size for s in scenes]),
+           np.concatenate([s.gt_classes for s in scenes]), np.concatenate([s.gt_boxes for s in scenes]))
+    best, overlap = evaluation._best_match(records.scene, records.class_id, records.box, gts)
+    oracle_best, oracle_hit = per_scene_matches(records, gts, iou_thresh)
+    assert np.array_equal(overlap > iou_thresh, oracle_hit)
+    assert np.array_equal(best[oracle_hit], oracle_best[oracle_hit])
+
+
+@st.composite
+def score_stacks(draw):
+    """A model and scenes at the shapes where a stacked matmul need not match
+    a per-head one: D in {9, 10, 11, 18, 19}, C = 1, P in [197, 337] or 1."""
+    dim = draw(st.sampled_from([9, 10, 11, 18, 19]))
+    num_classes = draw(st.sampled_from([1, 1, 2, 4]))
+    p = draw(st.one_of(st.just(1), st.integers(197, 337)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scenes = [Scene(scene_id=i, proposals=np.tile([0.0, 0.0, 1.0, 1.0], (p, 1)),
+                    features=rng.normal(size=(p, dim)) * draw(st.sampled_from([0.1, 1.0, 30.0])),
+                    image_label=np.ones(num_classes, dtype=np.int8), gt_boxes=np.zeros((0, 4)),
+                    gt_classes=np.zeros(0, dtype=np.int64))
+              for i in range(draw(st.integers(1, 7)))]
+    model = ToyModel.initialize(num_classes, dim, draw(st.integers(1, 3)), seed=draw(st.integers(0, 9)),
+                                init_scale=1.0)
+    return model, scenes, draw(st.integers(1, len(scenes)))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(score_stacks())
+def test_stacked_scores_equal_branch_mean_scores_bitwise(fixture):
+    """Each scene's row of a stack of up to 1 to n scenes is its own
+    ``branch_mean_scores``, bit for bit, and every scene is in one stack."""
+    model, scenes, per_stack = fixture
+    p = scenes[0].num_proposals
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "_SCORE_BYTES", per_stack * 8 * model.weights.shape[0] * p)
+        stacks = list(evaluation._scored_stacks(model, scenes))
+    assert np.array_equal(np.concatenate([stack for stack, _ in stacks]), np.arange(len(scenes)))
+    assert len(stacks) == -(-len(scenes) // per_stack) and max(stack.size for stack, _ in stacks) <= per_stack
+    for stack, mean_scores in stacks:
+        for i, scores in zip(stack, mean_scores):
+            assert scores.view(np.int64).tolist() == branch_mean_scores(model, scenes[i]).view(np.int64).tolist()
+
+
+def test_overflow_names_the_first_non_finite_scene_of_a_stack():
+    """Only the third scene of a stack overflows its logits, so the error names
+    that scene's id; one scene per stack names the same scene."""
+    model = ToyModel.initialize(3, 8, 2, seed=2, init_scale=0.7)
+    scenes = generate_dataset(SceneConfig(num_classes=3, feature_dim=8, num_proposals=30), 5, 5)
+    scenes[2] = dataclasses.replace(scenes[2], scene_id=41, features=scenes[2].features * 1e308)
+    with pytest.raises(ValueError, match=r"^scene 41: logits contains non-finite entries$"):
+        evaluate_scenes(model, scenes)
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(ValueError, match=r"^scene 41: logits"):
+        patch.setattr(evaluation, "_SCORE_BYTES", 0)
+        evaluate_scenes(model, scenes)
+
+
+def test_a_shape_error_while_scoring_names_no_scene():
+    """Features of the wrong width fail in the matmul, before any logit is
+    written, and that error passes through as it is."""
+    model = ToyModel.initialize(3, 8, 2, seed=2)
+    scenes = generate_dataset(SceneConfig(num_classes=3, feature_dim=4, num_proposals=30), 5, 2)
+    with pytest.raises(ValueError, match=r"^matmul: Input operand 1 has a mismatch"):
+        evaluate_scenes(model, scenes)
