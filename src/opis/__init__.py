@@ -16,7 +16,6 @@ from .midn import (
     image_scores,
     midn_loss,
     midn_loss_grad,
-    phi0_from_instance_scores,
     softmax_over_classes,
     softmax_over_instances,
 )
@@ -24,7 +23,6 @@ from .supervision import (
     ClusterAssignment,
     SupervisionTargets,
     assign_labels,
-    max_iou_source,
     select_cluster_centers,
 )
 from .sampling import (
@@ -63,7 +61,6 @@ from .evaluation import (
     detect,
     dump_detections,
     evaluate_scenes,
-    mean_ap,
     voc_ap,
 )
 

@@ -378,7 +378,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TrainingDivergence as exc:
-        print(f"numerical failure at iteration {exc.iteration}: {exc} {exc.snapshot}", file=sys.stderr)
+        snapshot = f" {exc.snapshot}" if exc.snapshot else ""
+        print(f"numerical failure at iteration {exc.iteration}: {exc}{snapshot}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -1,14 +1,14 @@
 """VOC-criterion metrics over synthetic scenes: per-class AP, mAP, CorLoc.
 
-``evaluate_scenes`` scores each scene once, in stacks of scenes that share a
-proposal count: one forward pass (``_score_stack``) per stack of about 9
-default scenes, one argmax over the stack's scores for CorLoc. NMS then runs
-once per larger stack, every class of every stacked scene in lockstep (see
-``nms_indices``); ``detect`` is its one-scene case. Detections stay columns
-(scene, class, score, box) from NMS through AP matching; a ``ScoredBox`` is
-built only when an element is read. CorLoc's top boxes and every detection
-are matched against their own scene's ground truths in one pass over the
-whole scene set.
+``evaluate_scenes`` cuts the scenes into one set of stacks of scenes that
+share a proposal count. Each stack is scored once, with one matmul of every
+head (``_stack_logits``) and the softmax of the refinement branches only; its
+scores feed both one argmax for CorLoc's top boxes and one NMS call that runs
+every class of every stacked scene in lockstep (see ``nms_indices``).
+``detect`` is the one-scene case. Detections stay columns (scene, class,
+score, box) from NMS through AP matching; a ``ScoredBox`` is built only when
+an element is read. CorLoc's top boxes and every detection are matched
+against their own scene's ground truths in one pass over the whole scene set.
 
 In score order, a detection claims the ground truth of its class and scene that
 it overlaps most, when that IoU strictly exceeds the threshold (0.5 by default)
@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .geometry import BBox, ScoredBox, nms_indices, pairwise_iou
-from .harness import Scene, ToyModel, _score_stack, forward
+from .harness import Scene, ToyModel, _stack_logits, forward
+from .midn import softmax
 
 __all__ = [
     "UndefinedAPError",
@@ -37,7 +38,6 @@ __all__ = [
     "branch_mean_scores",
     "detect",
     "voc_ap",
-    "mean_ap",
     "corloc",
     "evaluate_scenes",
     "dump_detections",
@@ -99,69 +99,63 @@ def detect(
     class: the one-scene case of ``evaluate_scenes``' detection. Pass the
     scene's ``branch_mean_scores`` as ``scores`` to reuse them."""
     mean_scores = branch_mean_scores(model, scene) if scores is None else scores
-    return Detections([scene.scene_id], *_detect([scene], [mean_scores], nms_iou, score_floor))
+    return Detections([scene.scene_id], *_detections([scene], np.zeros(1, dtype=np.int64),
+                                                     np.asarray(mean_scores)[None, :-1], nms_iou, score_floor))
 
 
-# Bytes of the (S, P+1, P+1) suppression buffer per nms_indices call. On 50
-# scenes at P = 150, stacks of 11 scenes already got most of the lockstep gain
-# and larger budgets gained nothing more; at P = 2000 one scene exceeds it, so
-# such scenes go one per call.
-_NMS_BYTES = 2**20
-# Bytes of the (S, R, P) logits buffer per _score_stack call: 9 scenes of the
-# default world. On 50 default scenes, 2**17, 2**18, 2**19 and 2**21 bytes gave
-# best evaluate_scenes times of 13.5, 12.7, 12.9 and 13.7 ms, and one 50-scene
-# stack (2**21) raised peak memory by 2.6 MB where the others did not.
-_SCORE_BYTES = 2**18
-
-
-def _stacks(keys: Sequence, scenes_per_stack: Callable) -> Iterator[tuple[object, list[np.ndarray]]]:
-    """Positions of equal keys, in order of first appearance, each group cut
-    into near-equal stacks of at most ``scenes_per_stack(key)`` (at least 1)."""
-    groups: dict[object, list[int]] = {}
-    for position, key in enumerate(keys):
-        groups.setdefault(key, []).append(position)
-    for key, positions in groups.items():
-        yield key, np.array_split(np.array(positions), -(-len(positions) // max(1, scenes_per_stack(key))))
+# Bytes of a stack's larger buffer: its (S, R, P) float64 logits or its
+# (S, P+1, P+1) suppression bools. On 50 default scenes this gives 2 stacks of
+# 25, no slower than 2**19's 3 stacks of about 17; at P = 2000 one scene
+# exceeds it, so such scenes go one per stack.
+_STACK_BYTES = 2**20
 
 
 def _scored_stacks(model: ToyModel, scenes: Sequence[Scene]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(positions, (S, C+1, P) ``branch_mean_scores``) of each stack of scenes
-    that share a feature shape, scored with one ``_score_stack`` call. A
-    non-finite stack names its first non-finite scene."""
-    c, k, rows = model.num_classes, model.num_branches, model.weights.shape[0]
-    shapes = [scene.features.shape for scene in scenes]
-    for (p, _), stacks in _stacks(shapes, lambda shape: _SCORE_BYTES // (8 * rows * shape[0])):
+    """(positions, (S, C, P) class rows of ``branch_mean_scores``) of each
+    stack of scenes that share a feature shape, in order of first appearance,
+    from one matmul per stack. A stack's larger buffer fits ``_STACK_BYTES``
+    (at least one scene). A non-finite stack names its first non-finite
+    scene."""
+    c, rows = model.num_classes, model.weights.shape[0]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for position, scene in enumerate(scenes):
+        groups.setdefault(scene.features.shape, []).append(position)
+    for (p, d), positions in groups.items():
+        per_stack = max(1, _STACK_BYTES // max(8 * rows * p, (p + 1) ** 2))
+        stacks = np.array_split(np.array(positions), -(-len(positions) // per_stack))
         # Zeroed, so that a matmul that fails on shapes leaves no non-finite entry.
-        logits, phis = np.zeros((stacks[0].size, rows, p)), np.empty((stacks[0].size, k + 1, c + 1, p))
+        features, logits = np.empty((stacks[0].size, p, d)), np.zeros((stacks[0].size, rows, p))
         for stack in stacks:
             n = stack.size
+            np.stack([scenes[i].features for i in stack], out=features[:n])
             try:
-                _score_stack(model, np.stack([scenes[i].features for i in stack]), logits[:n], phis[:n, 0],
-                             phis[:n, 1:])
+                branch_logits = _stack_logits(model, features[:n], logits[:n])
             except ValueError as exc:
                 finite = np.isfinite(logits[:n]).all(axis=(1, 2))
                 if finite.all():
                     raise
                 raise ValueError(f"scene {scenes[stack[finite.argmin()]].scene_id}: {exc}") from exc
-            yield stack, np.mean(phis[:n, 1:], axis=1)
+            yield stack, np.mean(softmax(branch_logits, axis=2)[:, :, :c], axis=1)
 
 
-def _detect(scenes: Sequence[Scene], scores: Sequence[np.ndarray], nms_iou: float,
-            score_floor: float) -> tuple[np.ndarray, ...]:
-    """(scene position, class id, score, box) columns of the scenes' detections,
-    scene by scene in input order, class by class, from one ``nms_indices``
-    call per stack of scenes that share a proposal count."""
-    found = []
-    shapes = [mean_scores.shape for mean_scores in scores]
-    for _, stacks in _stacks(shapes, lambda shape: _NMS_BYTES // (shape[1] + 1) ** 2):
-        for stack in stacks:
-            class_scores = np.stack([scores[p][:-1] for p in stack])
-            boxes = np.stack([scenes[p].proposals for p in stack])
-            scene, rows, keep = nms_indices(boxes, class_scores, nms_iou, class_scores >= score_floor)
-            found.append((stack[scene], rows + 1, class_scores[scene, rows, keep], boxes[scene, keep]))
-    position, class_id, score, box = (np.concatenate(column) for column in zip(*found))
-    order = np.argsort(position, kind="stable")
-    return position[order], class_id[order], score[order], box[order]
+def _detections(scenes: Sequence[Scene], stack: np.ndarray, class_scores: np.ndarray, nms_iou: float,
+                score_floor: float) -> tuple[np.ndarray, ...]:
+    """(scene position, class id, score, box) columns of a stack's detections,
+    scene by scene, class by class, from its (S, C, P) class scores and one
+    ``nms_indices`` call."""
+    boxes = np.stack([scenes[i].proposals for i in stack])
+    scene, rows, keep = nms_indices(boxes, class_scores, nms_iou, class_scores >= score_floor)
+    return stack[scene], rows + 1, class_scores[scene, rows, keep], boxes[scene, keep]
+
+
+def _tops(scenes: Sequence[Scene], stack: np.ndarray, class_scores: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(scene position, class id, box) columns of the top-scoring proposal of
+    every present class of a stack's scenes, from its (S, C or more, P)
+    class scores."""
+    present = np.stack([scenes[i].image_label for i in stack]) > 0
+    s, c = np.nonzero(present)
+    top = class_scores[:, : present.shape[1]].argmax(axis=2)
+    return stack[s], c + 1, np.stack([scenes[i].proposals for i in stack])[s, top[s, c]]
 
 
 def _gt_columns(scenes: Sequence[Scene]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -243,19 +237,6 @@ def voc_ap(
     return aps[class_id]
 
 
-def mean_ap(
-    dets: Sequence[ScoredBox],
-    gts: Sequence[tuple[BBox, int]],
-    classes: Sequence[int],
-    iou_thresh: float = 0.5,
-) -> float:
-    """Mean of voc_ap over the classes that actually have ground truth."""
-    present = [c for c in classes if any(g[1] == c for g in gts)]
-    if not present:
-        raise UndefinedAPError("no class has ground truth")
-    return float(np.mean([voc_ap(dets, gts, c, iou_thresh) for c in present]))
-
-
 def corloc(
     model: ToyModel | None,
     scenes: Sequence[Scene],
@@ -274,22 +255,14 @@ def corloc(
             raise ValueError("either a model or a score_fn is required")
         stacks = _scored_stacks(model, scenes)
     else:
-        scores = [np.asarray(score_fn(scene), dtype=np.float64) for scene in scenes]
-        stacks = ((stack, np.stack([scores[i] for i in stack]))
-                  for _, group in _stacks([s.shape for s in scores], lambda _: len(scenes)) for stack in group)
-    return _corloc(scenes, stacks, iou_thresh)
+        stacks = ((np.array([i]), np.asarray(score_fn(scene), dtype=np.float64)[None])
+                  for i, scene in enumerate(scenes))
+    return _corloc(scenes, [_tops(scenes, stack, scores) for stack, scores in stacks], iou_thresh)
 
 
-def _corloc(scenes: Sequence[Scene], stacks: Iterable[tuple[np.ndarray, np.ndarray]], iou_thresh: float) -> float:
-    """CorLoc of the scenes from (positions, (S, C or more, P) class scores)
-    stacks that cover them: one argmax per stack for the top proposal of every
-    present class, then one matching pass over the whole set."""
-    tops = []
-    for stack, class_scores in stacks:
-        present = np.stack([scenes[i].image_label for i in stack]) > 0
-        s, c = np.nonzero(present)
-        top = class_scores[:, : present.shape[1]].argmax(axis=2)
-        tops.append((stack[s], c + 1, np.stack([scenes[i].proposals for i in stack])[s, top[s, c]]))
+def _corloc(scenes: Sequence[Scene], tops: Sequence[tuple[np.ndarray, ...]], iou_thresh: float) -> float:
+    """CorLoc of the scenes from ``_tops`` columns that cover them, in one
+    matching pass over the whole set."""
     columns = [np.concatenate(column) for column in zip(*tops)]
     if not columns or columns[0].size == 0:
         raise ValueError("no (scene, present class) pairs to evaluate")
@@ -325,20 +298,20 @@ def evaluate_scenes(
     iou_thresh: float = 0.5,
 ) -> tuple[MetricsReport, DetectionRecords]:
     """Detect on every scene and compute mAP plus CorLoc over the whole set.
-    Each scene is scored once, in a stack of scenes; detection and CorLoc
-    share its scores.
+    Each scene is scored once, in a stack of scenes; that stack's scores feed
+    both its CorLoc top boxes and its NMS call.
 
     Returns the report and the (scene_id, detection) records that produced
     it, scene by scene in input order.
     """
     stacks = list(_scored_stacks(model, scenes))
-    # CorLoc first: it names an empty scene set before detection would.
-    corloc_value = _corloc(scenes, stacks, iou_thresh)
-    scores: list[np.ndarray] = [None] * len(scenes)
-    for stack, mean_scores in stacks:
-        for i, scene_scores in zip(stack.tolist(), mean_scores):
-            scores[i] = scene_scores
-    records = DetectionRecords([scene.scene_id for scene in scenes], *_detect(scenes, scores, nms_iou, score_floor))
+    # CorLoc first: it names an empty scene set before any NMS runs.
+    corloc_value = _corloc(scenes, [_tops(scenes, stack, scores) for stack, scores in stacks], iou_thresh)
+    position, class_id, score, box = (np.concatenate(column) for column in zip(
+        *(_detections(scenes, stack, scores, nms_iou, score_floor) for stack, scores in stacks)))
+    order = np.argsort(position, kind="stable")
+    records = DetectionRecords([scene.scene_id for scene in scenes], position[order], class_id[order], score[order],
+                               box[order])
     per_class = _class_ap(records, _gt_columns(scenes), iou_thresh)
     report = MetricsReport(
         per_class_ap=per_class,

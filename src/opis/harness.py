@@ -368,6 +368,19 @@ def _workspace(model: ToyModel, batch: int, num_proposals: int) -> SimpleNamespa
                            dz=np.empty((batch, rows, p)), grads=np.empty((batch, model.flat.size)))
 
 
+def _stack_logits(model: ToyModel, features: np.ndarray, logits: np.ndarray) -> np.ndarray:
+    """Every head's ``logits`` (B, R, P) of B scenes' (B, P, D) features, in
+    one matmul; raises if an entry is non-finite. Returns the refinement
+    branches' rows as a (B, K, C+1, P) view."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+        np.matmul(model.weights, features.transpose(0, 2, 1), out=logits)
+        logits += model.biases[:, None]
+    if not np.isfinite(logits).all():
+        raise ValueError("logits contains non-finite entries")
+    c, k = model.num_classes, model.num_branches
+    return logits[:, 2 * c :].reshape(logits.shape[0], k, c + 1, -1)
+
+
 def _score_stack(model: ToyModel, features: np.ndarray, logits: np.ndarray, phi0: np.ndarray,
                  phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward pass of B scenes' (B, P, D) features in one matmul: ``logits``
@@ -375,16 +388,12 @@ def _score_stack(model: ToyModel, features: np.ndarray, logits: np.ndarray, phi0
     (B, C+1, P), the branch softmaxes in ``phi`` (B, K, C+1, P). Returns the
     (B, C, P) MIDN stream softmaxes."""
     c = model.num_classes
-    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-        np.matmul(model.weights, features.transpose(0, 2, 1), out=logits)
-        logits += model.biases[:, None]
-    if not np.isfinite(logits).all():
-        raise ValueError("logits contains non-finite entries")
+    branch_logits = _stack_logits(model, features, logits)
     sc = softmax(logits[:, :c], axis=1)
     sd = softmax(logits[:, c : 2 * c], axis=2)
     np.multiply(sc, sd, out=phi0[:, :c])
     phi0[:, c] = 0.0
-    softmax(logits[:, 2 * c :].reshape(phi.shape), axis=2, out=phi)
+    softmax(branch_logits, axis=2, out=phi)
     return sc, sd
 
 

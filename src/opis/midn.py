@@ -20,7 +20,6 @@ __all__ = [
     "image_scores",
     "midn_loss",
     "midn_loss_grad",
-    "phi0_from_instance_scores",
 ]
 
 # Clamp applied to image-level scores before taking logs.
@@ -92,17 +91,6 @@ def midn_loss_grad(y_pred: np.ndarray, y_true: np.ndarray, eps: float = SCORE_EP
     pc = np.minimum(np.maximum(p, eps), 1.0 - eps)
     g = (pc - y) / (pc * (1.0 - pc))
     return np.where((p < eps) | (p > 1.0 - eps), 0.0, g)
-
-
-def phi0_from_instance_scores(instance_scores: np.ndarray) -> np.ndarray:
-    """Supervision source for the first refinement branch.
-
-    Copies the composed instance scores and appends an all-zero background row;
-    columns are intentionally not renormalized (only relative order and the
-    center score magnitude are consumed downstream).
-    """
-    x_r = np.asarray(instance_scores, dtype=np.float64)
-    return np.vstack([x_r, np.zeros((1, x_r.shape[1]))])
 
 
 @dataclass

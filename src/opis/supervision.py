@@ -14,14 +14,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import BBox, pairwise_iou
+from .geometry import pairwise_iou
 
 __all__ = [
     "SupervisionTargets",
     "ClusterAssignment",
     "cluster_center_indices",
     "select_cluster_centers",
-    "max_iou_source",
     "assign_branches",
     "assign_labels",
 ]
@@ -77,14 +76,6 @@ class SupervisionTargets:
     def positive_mask(self) -> np.ndarray:
         return (self.assigned_class >= 1) & (self.assigned_class <= self.num_classes)
 
-    def one_hot_labels(self) -> np.ndarray:
-        """(C+1, P) one-hot label matrix; ignored proposals get all-zero columns."""
-        p = self.num_proposals
-        y = np.zeros((self.num_classes + 1, p))
-        labeled = np.flatnonzero(self.assigned_class > 0)
-        y[self.assigned_class[labeled] - 1, labeled] = 1.0
-        return y
-
 
 @dataclass
 class ClusterAssignment:
@@ -120,19 +111,6 @@ def select_cluster_centers(phi_prev: np.ndarray, image_label: np.ndarray) -> dic
         raise ValueError("phi_prev must be a matrix with at least one proposal column")
     classes, centers = cluster_center_indices(phi_prev, image_label)
     return dict(zip(classes.tolist(), centers.tolist()))
-
-
-def max_iou_source(proposal: BBox, center_boxes: Mapping[int, BBox]) -> tuple[float, int]:
-    """Highest IoU of a proposal to any center, with the attaining class.
-
-    Equal IoUs resolve to the lower class id.
-    """
-    if not center_boxes:
-        raise ValueError("at least one cluster center is required")
-    classes = sorted(center_boxes)
-    overlaps = pairwise_iou(proposal.as_array(), np.array([center_boxes[c].as_array() for c in classes]))[0]
-    j = int(overlaps.argmax())
-    return float(overlaps[j]), classes[j]
 
 
 def assign_branches(

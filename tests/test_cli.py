@@ -133,6 +133,8 @@ class TestTrainCommand:
         p.write_text(text)
         rc = main(["train", "--config", str(p), "--out", str(tmp_path / "o"), "--iterations-override", "300"])
         assert rc == EXIT_NUMERIC
+        # No snapshot was taken, so none is printed.
+        assert capsys.readouterr().err == "numerical failure at iteration 54: model parameters became non-finite\n"
 
     @pytest.mark.parametrize("key,value", [("mu_s", "2"), ("lambda_ig", "0.6")])
     def test_schedule_bounds_exit_2_naming_key(self, key, value, tmp_path, capsys):

@@ -27,7 +27,6 @@ from opis.evaluation import (
     detect,
     dump_detections,
     evaluate_scenes,
-    mean_ap,
     voc_ap,
 )
 from opis.geometry import BBox, ScoredBox, nms_indices, pairwise_iou
@@ -113,30 +112,6 @@ class TestVocAP:
             ]
             ap = voc_ap(dets, gts, 1)
             assert 0.0 <= ap <= 1.0
-
-
-class TestMeanAP:
-    def test_single_class_equals_ap(self):
-        dets = [det(0, 0, 10, 10, 0.9)]
-        assert mean_ap(dets, GT_UNIT, classes=[1, 2]) == voc_ap(dets, GT_UNIT, 1)
-
-    def test_two_class_mean(self):
-        gts = [(BBox(0, 0, 10, 10), 1), (BBox(20, 20, 30, 30), 2)]
-        dets = [det(0, 0, 10, 10, 0.9, cls=1), det(90, 90, 95, 95, 0.9, cls=2)]
-        assert mean_ap(dets, gts, classes=[1, 2]) == 0.5
-
-    def test_mean_matches_arithmetic(self):
-        rng = np.random.default_rng(2)
-        gts = []
-        dets = []
-        for c in (1, 2, 3):
-            for i in range(3):
-                x = float(rng.uniform(0, 80))
-                gts.append((BBox(x, 10 * c, x + 8, 10 * c + 8), c))
-                if rng.uniform() < 0.8:
-                    dets.append(det(x + 1, 10 * c, x + 9, 10 * c + 8, float(rng.uniform()), c))
-        per_class = [voc_ap(dets, gts, c) for c in (1, 2, 3)]
-        assert mean_ap(dets, gts, classes=[1, 2, 3]) == pytest.approx(np.mean(per_class), abs=1e-12)
 
 
 def scene_with_scores(scene_id, gt, gt_classes, proposals, num_classes=2):
@@ -251,7 +226,7 @@ class TestEvaluateScenes:
         def no_stacking(*args):
             raise AssertionError("detection ran on an empty scene set")
 
-        monkeypatch.setattr(evaluation, "_detect", no_stacking)
+        monkeypatch.setattr(evaluation, "_detections", no_stacking)
         with pytest.raises(ValueError, match=r"no \(scene, present class\) pairs"):
             evaluate_scenes(ToyModel.initialize(3, 8, 2, seed=0), [])
 
@@ -417,23 +392,24 @@ class TestOneScoringPerScene:
 
     def test_each_scene_scored_once_and_records_equal_detect(self, monkeypatch):
         """Scoring runs on stacks of scenes, neither scene by scene through
-        ``forward`` nor once more for CorLoc; each scene's features go through
-        exactly one ``_score_stack`` call, and each scene's records are still
-        what ``detect`` gives."""
+        ``forward`` or ``detect`` nor once more for CorLoc; each scene's
+        features go through exactly one ``_stack_logits`` call, and each
+        scene's records are still what ``detect`` gives."""
         scenes, model = self.scenes_and_model()
-        scored, forwards = [], []
-        score_stack = evaluation._score_stack
+        scored, per_scene_calls = [], []
+        stack_logits = evaluation._stack_logits
 
-        def counted_stack(model, features, *buffers):
-            scored.extend(features)
-            return score_stack(model, features, *buffers)
+        def counted_stack(model, features, logits):
+            scored.extend(features.copy())
+            return stack_logits(model, features, logits)
 
         expected, _ = evaluate_scenes(model, scenes)
-        monkeypatch.setattr(evaluation, "_score_stack", counted_stack)
-        monkeypatch.setattr(evaluation, "forward", lambda *args: forwards.append(args))
-        monkeypatch.setattr(evaluation, "_SCORE_BYTES", 2 * 8 * model.weights.shape[0] * 30)  # two scenes a stack
+        monkeypatch.setattr(evaluation, "_stack_logits", counted_stack)
+        for name in ("forward", "detect"):
+            monkeypatch.setattr(evaluation, name, lambda *args, **kwargs: per_scene_calls.append(args))
+        monkeypatch.setattr(evaluation, "_STACK_BYTES", stack_bytes(model, 30, 2))
         report, records = evaluate_scenes(model, scenes)
-        assert forwards == []
+        assert per_scene_calls == []
         assert len(scored) == len(scenes)
         assert all(sum(np.array_equal(f, s.features) for f in scored) == 1 for s in scenes)
         assert report == expected
@@ -446,6 +422,13 @@ class TestOneScoringPerScene:
         for scene in scenes:
             given_scores = detect(model, scene, scores=branch_mean_scores(model, scene), **kwargs)
             assert given_scores == detect(model, scene, **kwargs)
+
+
+def stack_bytes(model, p, scenes_per_stack):
+    """The stack budget that fits ``scenes_per_stack`` scenes of ``p``
+    proposals: each needs its (R, P) float64 logits or its (P+1)² suppression
+    bytes, whichever is larger."""
+    return scenes_per_stack * max(8 * model.weights.shape[0] * p, (p + 1) ** 2)
 
 
 def greedy_nms_indices(boxes, scores, iou_threshold):
@@ -557,17 +540,16 @@ def test_scenes_sharing_an_id_keep_their_own_ground_truths():
 
 
 def test_one_evaluation_over_two_proposal_counts_equals_per_scene_detect(monkeypatch):
-    """Scenes of 30 and 40 proposals, interleaved, go to NMS in one stack per
-    proposal count; the records come back in input order and equal each
-    scene's ``detect``, and the report is the one those records give."""
+    """Scenes of 30 and 40 proposals, interleaved, go through stacks per
+    proposal count of one scene, two, the default budget's or all of them;
+    at each, the records come back in input order and equal each scene's
+    ``detect``, and the report is the one those records give."""
     model = ToyModel.initialize(3, 8, 2, seed=2, init_scale=0.7)
     a = generate_dataset(SceneConfig(num_classes=3, feature_dim=8, num_proposals=30), 5, 4)
     b = generate_dataset(SceneConfig(num_classes=3, feature_dim=8, num_proposals=40), 6, 3)
     scenes = [a[0], b[0], a[1], a[2], b[1], b[2], a[3]]
-    report, records = evaluate_scenes(model, scenes)
 
     per_scene = [detect(model, scene) for scene in scenes]
-    assert list(records) == [(scene.scene_id, d) for scene, dets in zip(scenes, per_scene) for d in dets]
     columns = DetectionRecords(
         [scene.scene_id for scene in scenes],
         np.repeat(np.arange(len(scenes)), [len(dets) for dets in per_scene]),
@@ -577,11 +559,20 @@ def test_one_evaluation_over_two_proposal_counts_equals_per_scene_detect(monkeyp
            np.concatenate([scene.gt_classes for scene in scenes]),
            np.concatenate([scene.gt_boxes for scene in scenes]))
     per_class = _class_ap(columns, gts, 0.5)
-    assert report == MetricsReport(per_class, float(np.mean(list(per_class.values()))), corloc(model, scenes),
-                                   len(scenes), len(columns))
+    expected = MetricsReport(per_class, float(np.mean(list(per_class.values()))), corloc(model, scenes),
+                             len(scenes), len(columns))
 
-    monkeypatch.setattr(evaluation, "_NMS_BYTES", 0)  # one scene per NMS call
-    assert evaluate_scenes(model, scenes) == (report, records)
+    nms_calls = []
+    stacked_nms = evaluation.nms_indices
+    monkeypatch.setattr(evaluation, "nms_indices", lambda *args: nms_calls.append(1) or stacked_nms(*args))
+    budgets = [stack_bytes(model, 40, 1), stack_bytes(model, 40, 2), evaluation._STACK_BYTES, stack_bytes(model, 40, 7)]
+    for budget, stacks in zip(budgets, [7, 4, 2, 2]):
+        monkeypatch.setattr(evaluation, "_STACK_BYTES", budget)
+        nms_calls.clear()
+        report, records = evaluate_scenes(model, scenes)
+        assert len(nms_calls) == stacks
+        assert list(records) == [(scene.scene_id, d) for scene, dets in zip(scenes, per_scene) for d in dets]
+        assert report == expected
 
 
 @st.composite
@@ -613,8 +604,8 @@ def scene_stacks(draw):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scene_stacks(), st.integers(0, 4))
 def test_stacked_nms_keeps_what_each_scene_keeps(stack, scenes_per_call):
-    """One (S, C, P) ``nms_indices`` call, and detection cut into stacks of at
-    most ``scenes_per_call`` scenes (0: one each), keep each scene's own
+    """One (S, C, P) ``nms_indices`` call, and ``_detections`` on stacks of
+    at most ``scenes_per_call`` scenes (0: one each), keep each scene's own
     (C, P) call's (rows, kept), scene by scene."""
     boxes, scores, nms_iou, score_floor = stack
     class_scores = scores[:, :-1]
@@ -626,9 +617,9 @@ def test_stacked_nms_keeps_what_each_scene_keeps(stack, scenes_per_call):
 
     scenes = [scene_with_scores(i, [[0, 0, 1, 1]], [1], b, num_classes=scores.shape[1] - 1)
               for i, b in enumerate(boxes)]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evaluation, "_NMS_BYTES", scenes_per_call * (boxes.shape[1] + 1) ** 2)
-        position, class_id, score, box = evaluation._detect(scenes, list(scores), nms_iou, score_floor)
+    stacks = np.array_split(np.arange(len(scenes)), -(-len(scenes) // max(1, scenes_per_call)))
+    position, class_id, score, box = (np.concatenate(column) for column in zip(
+        *(evaluation._detections(scenes, stack, class_scores[stack], nms_iou, score_floor) for stack in stacks)))
     assert np.all(np.diff(position) >= 0)
     for i, (r, k) in enumerate(own):
         mine = position == i
@@ -721,7 +712,7 @@ def test_stacked_corloc_and_one_pass_matching_equal_the_per_scene_oracles(fixtur
     every detection's match equals the per-scene matcher's."""
     scenes, model, iou_thresh, per_stack = fixture
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evaluation, "_SCORE_BYTES", per_stack * 8 * model.weights.shape[0] * 6)
+        patch.setattr(evaluation, "_STACK_BYTES", stack_bytes(model, 6, per_stack))
         report, records = evaluate_scenes(model, scenes, iou_thresh=iou_thresh)
         assert report.corloc == oracle_corloc(model, scenes, iou_thresh)
         assert corloc(model, scenes, iou_thresh) == report.corloc
@@ -761,17 +752,19 @@ def score_stacks(draw):
 @given(score_stacks())
 def test_stacked_scores_equal_branch_mean_scores_bitwise(fixture):
     """Each scene's row of a stack of up to 1 to n scenes is its own
-    ``branch_mean_scores``, bit for bit, and every scene is in one stack."""
+    ``branch_mean_scores`` without the background row, bit for bit, and
+    every scene is in one stack."""
     model, scenes, per_stack = fixture
     p = scenes[0].num_proposals
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evaluation, "_SCORE_BYTES", per_stack * 8 * model.weights.shape[0] * p)
+        patch.setattr(evaluation, "_STACK_BYTES", stack_bytes(model, p, per_stack))
         stacks = list(evaluation._scored_stacks(model, scenes))
     assert np.array_equal(np.concatenate([stack for stack, _ in stacks]), np.arange(len(scenes)))
     assert len(stacks) == -(-len(scenes) // per_stack) and max(stack.size for stack, _ in stacks) <= per_stack
-    for stack, mean_scores in stacks:
-        for i, scores in zip(stack, mean_scores):
-            assert scores.view(np.int64).tolist() == branch_mean_scores(model, scenes[i]).view(np.int64).tolist()
+    for stack, class_scores in stacks:
+        for i, scores in zip(stack, class_scores):
+            own = branch_mean_scores(model, scenes[i])[:-1]
+            assert scores.view(np.int64).tolist() == own.view(np.int64).tolist()
 
 
 def test_overflow_names_the_first_non_finite_scene_of_a_stack():
@@ -783,7 +776,7 @@ def test_overflow_names_the_first_non_finite_scene_of_a_stack():
     with pytest.raises(ValueError, match=r"^scene 41: logits contains non-finite entries$"):
         evaluate_scenes(model, scenes)
     with pytest.MonkeyPatch.context() as patch, pytest.raises(ValueError, match=r"^scene 41: logits"):
-        patch.setattr(evaluation, "_SCORE_BYTES", 0)
+        patch.setattr(evaluation, "_STACK_BYTES", 0)
         evaluate_scenes(model, scenes)
 
 

@@ -180,6 +180,7 @@ class TestForward:
             assert np.all(scores.x_r.sum(axis=0) <= 1.0 + 1e-9)
             y = scores.x_r.sum(axis=1)
             assert np.all(y > 0.0) and np.all(y < 1.0 + 1e-9)
+            np.testing.assert_array_equal(scores.phi0[:-1], scores.x_r)
             np.testing.assert_array_equal(scores.phi0[-1], 0.0)
 
 

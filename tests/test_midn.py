@@ -12,7 +12,6 @@ from opis.midn import (
     image_scores,
     midn_loss,
     midn_loss_grad,
-    phi0_from_instance_scores,
     softmax_over_classes,
     softmax_over_instances,
 )
@@ -198,12 +197,3 @@ class TestMidnLossGrad:
             y = (rng.uniform(size=n) < 0.5).astype(float)
             np.testing.assert_allclose(midn_loss_grad(p, y), fd_grad(p, y), rtol=1e-5, atol=1e-7)
 
-
-class TestPhi0:
-    def test_background_row_is_zero(self):
-        rng = np.random.default_rng(8)
-        x = rng.uniform(size=(4, 6))
-        phi0 = phi0_from_instance_scores(x)
-        assert phi0.shape == (5, 6)
-        np.testing.assert_array_equal(phi0[:4], x)
-        np.testing.assert_array_equal(phi0[4], 0.0)

@@ -6,7 +6,7 @@ import pytest
 
 from opis.geometry import BBox, iou
 from opis.midn import softmax_over_classes
-from opis.supervision import assign_labels, max_iou_source, select_cluster_centers
+from opis.supervision import assign_labels, select_cluster_centers
 
 
 def random_boxes(rng, n, span=100.0):
@@ -65,29 +65,6 @@ class TestSelectClusterCenters:
     def test_requires_proposals(self):
         with pytest.raises(ValueError):
             select_cluster_centers(np.zeros((2, 0)), np.array([1]))
-
-
-class TestMaxIoUSource:
-    def test_single_center(self):
-        p = BBox(0, 0, 2, 2)
-        v, c = max_iou_source(p, {3: BBox(1, 1, 3, 3)})
-        assert (v, c) == (pytest.approx(1 / 7), 3)
-
-    def test_equal_iou_takes_lower_class(self):
-        p = BBox(0, 0, 2, 2)
-        same = BBox(1, 1, 3, 3)
-        v, c = max_iou_source(p, {2: same, 4: same})
-        assert c == 2
-
-    def test_matches_pairwise_scan(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            boxes = random_boxes(rng, 5)
-            centers = {1: BBox(*boxes[0]), 2: BBox(*boxes[1]), 3: BBox(*boxes[2])}
-            p = BBox(*boxes[4])
-            got_v, got_c = max_iou_source(p, centers)
-            want = max(((iou(p, b), -c) for c, b in centers.items()))
-            assert got_v == want[0] and got_c == -want[1]
 
 
 class TestAssignLabels:
@@ -177,13 +154,3 @@ class TestAssignLabels:
             t_ig_high, _ = assign_labels(centers, boxes, phi_prev, 0.2, 0.5)
             assert np.count_nonzero(t_ig_low.assigned_class == 0) <= np.count_nonzero(t_ig_high.assigned_class == 0)
 
-    def test_one_hot_labels(self):
-        rng = np.random.default_rng(6)
-        boxes, phi_prev, centers = self._setup(rng)
-        targets, _ = assign_labels(centers, boxes, phi_prev, 0.1, 0.5)
-        y = targets.one_hot_labels()
-        assert y.shape == (5, 20)
-        sums = y.sum(axis=0)
-        labeled = targets.assigned_class > 0
-        np.testing.assert_array_equal(sums[labeled], 1.0)
-        np.testing.assert_array_equal(sums[~labeled], 0.0)
