@@ -152,7 +152,7 @@ def _seed_flag(flag: str, seed: int) -> int:
 def _dataset(scene: SceneConfig, seed: int, count: int) -> list[Scene]:
     try:
         return generate_dataset(scene, seed, count)
-    except RuntimeError as exc:  # a world whose objects cannot all be covered
+    except RuntimeError as exc:  # uncoverable objects, zero-area boxes, or overflowing boxes or features
         raise ConfigError(f"[data]: {exc}") from exc
 
 

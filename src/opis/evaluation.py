@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .geometry import BBox, ScoredBox, nms_indices, pairwise_iou
-from .harness import Scene, ToyModel, _stack_logits, forward
+from .harness import Scene, ToyModel, _stack_logits
 from .midn import softmax
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "MetricsReport",
     "Detections",
     "DetectionRecords",
-    "branch_mean_scores",
     "detect",
     "voc_ap",
     "corloc",
@@ -82,12 +81,6 @@ class DetectionRecords(Detections):
         return self.scene_ids[self.scene[i]], super()._element(i)
 
 
-def branch_mean_scores(model: ToyModel, scene: Scene) -> np.ndarray:
-    """(C+1, P) class scores: mean of the refinement branches' softmax outputs."""
-    scores = forward(model, scene)
-    return np.mean(scores.phi, axis=0)
-
-
 def detect(
     model: ToyModel,
     scene: Scene,
@@ -96,11 +89,12 @@ def detect(
     scores: np.ndarray | None = None,
 ) -> Detections:
     """Per-class NMS-filtered detections from branch-averaged scores, class by
-    class: the one-scene case of ``evaluate_scenes``' detection. Pass the
-    scene's ``branch_mean_scores`` as ``scores`` to reuse them."""
-    mean_scores = branch_mean_scores(model, scene) if scores is None else scores
-    return Detections([scene.scene_id], *_detections([scene], np.zeros(1, dtype=np.int64),
-                                                     np.asarray(mean_scores)[None, :-1], nms_iou, score_floor))
+    class: the one-scene case of ``evaluate_scenes``, in scoring and in NMS.
+    ``scores``, a (C+1, P) score matrix whose last row is the background, may
+    replace the model's."""
+    stack, class_scores = (next(_scored_stacks(model, [scene])) if scores is None
+                           else (np.zeros(1, dtype=np.int64), np.asarray(scores)[None, :-1]))
+    return Detections([scene.scene_id], *_detections([scene], stack, class_scores, nms_iou, score_floor))
 
 
 # Bytes of a stack's larger buffer: its (S, R, P) float64 logits or its
@@ -111,11 +105,11 @@ _STACK_BYTES = 2**20
 
 
 def _scored_stacks(model: ToyModel, scenes: Sequence[Scene]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(positions, (S, C, P) class rows of ``branch_mean_scores``) of each
-    stack of scenes that share a feature shape, in order of first appearance,
-    from one matmul per stack. A stack's larger buffer fits ``_STACK_BYTES``
-    (at least one scene). A non-finite stack names its first non-finite
-    scene."""
+    """(positions, (S, C, P) class scores) of each stack of scenes that share
+    a feature shape, in order of first appearance, from one matmul per stack:
+    the mean over refinement branches of their softmax, without the background
+    row. A stack's larger buffer fits ``_STACK_BYTES`` (at least one scene). A
+    non-finite stack names its first non-finite scene."""
     c, rows = model.num_classes, model.weights.shape[0]
     groups: dict[tuple[int, ...], list[int]] = {}
     for position, scene in enumerate(scenes):

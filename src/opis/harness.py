@@ -45,7 +45,6 @@ __all__ = [
     "TrainConfig",
     "TrainLog",
     "IterationRecord",
-    "BranchSupervision",
     "SceneSupervision",
     "ClassBalance",
     "TrainingDivergence",
@@ -145,13 +144,19 @@ def class_prototypes(config: SceneConfig) -> np.ndarray:
     return _prototypes(config.prototype_seed, config.feature_dim, config.num_classes).copy()
 
 
-def _random_boxes(config: SceneConfig, rng: np.random.Generator, count: int, low: float, high: float) -> np.ndarray:
+def _random_boxes(config: SceneConfig, rng: np.random.Generator, count: int, kind: str) -> np.ndarray:
+    """``count`` boxes of ``kind`` ("object" or "clutter") sizes; a box below
+    the coordinate resolution, with no positive width and height, is an error."""
+    low, high = getattr(config, f"{kind}_size_min"), getattr(config, f"{kind}_size_max")
     # A (2, n) draw reads the stream row by row, as one call per row would.
     half = rng.uniform(low, high, size=(2, count)) / 2
     center = rng.uniform(half, config.world_size - half)
     boxes = np.empty((count, 4))
     np.subtract(center, half, out=boxes[:, :2].T)
     np.add(center, half, out=boxes[:, 2:].T)
+    if not (boxes[:, 2:] > boxes[:, :2]).all():
+        raise RuntimeError(f"{kind}_size_min = {low} and {kind}_size_max = {high} give boxes of zero width or "
+                           f"height at world_size = {config.world_size}")
     return boxes
 
 
@@ -173,18 +178,22 @@ def generate_scene(config: SceneConfig, rng: np.random.Generator, scene_id: int 
     object is covered by at least one proposal at the configured IoU."""
     n_obj = int(rng.integers(config.min_objects, config.max_objects + 1))
     gt_classes = rng.integers(1, config.num_classes + 1, size=n_obj).astype(np.int64)
-    gt_boxes = _random_boxes(config, rng, n_obj, config.object_size_min, config.object_size_max)
+    gt_boxes = _random_boxes(config, rng, n_obj, "object")
 
     n_clutter = int(round(config.num_proposals * config.clutter_rate))
     n_jitter = config.num_proposals - n_clutter
     for _ in range(config.max_regen_attempts):
-        parts = []
-        if n_jitter:
-            parts.append(_jittered_proposals(config, rng, gt_boxes, n_jitter))
-        if n_clutter:
-            parts.append(_random_boxes(config, rng, n_clutter, config.clutter_size_min, config.clutter_size_max))
-        proposals = np.concatenate(parts, axis=0)
-        overlap = pairwise_iou(gt_boxes, proposals).T
+        with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+            parts = []
+            if n_jitter:
+                parts.append(_jittered_proposals(config, rng, gt_boxes, n_jitter))
+            if n_clutter:
+                parts.append(_random_boxes(config, rng, n_clutter, "clutter"))
+            proposals = np.concatenate(parts, axis=0)
+            overlap = pairwise_iou(gt_boxes, proposals).T
+        if not (np.isfinite(proposals).all() and np.isfinite(overlap).all()):
+            raise RuntimeError(f"box coordinates or IoUs are not finite at world_size = {config.world_size}, "
+                               f"jitter = {config.jitter}")
         if np.all(overlap.max(axis=0) >= config.coverage_iou):
             break
     else:
@@ -195,10 +204,13 @@ def generate_scene(config: SceneConfig, rng: np.random.Generator, scene_id: int 
     features = protos[gt_classes[overlap.argmax(axis=1)] - 1]
     features *= overlap.max(axis=1)[:, None]
     noise = rng.normal(size=features.shape)
-    noise *= config.feature_noise / math.sqrt(config.feature_dim)
-    features += noise
-    # Row norms as np.linalg.norm computes them; a zero row (noise-free, overlapping no object) stays zero.
-    norm = np.sqrt(np.add.reduce(features * features, axis=1, keepdims=True))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+        noise *= config.feature_noise / math.sqrt(config.feature_dim)
+        features += noise
+        # Row norms as np.linalg.norm computes them; a zero row (noise-free, overlapping no object) stays zero.
+        norm = np.sqrt(np.add.reduce(features * features, axis=1, keepdims=True))
+    if not np.isfinite(norm).all():
+        raise RuntimeError(f"features overflow at feature_noise = {config.feature_noise}")
     np.divide(features, norm, out=features, where=norm > 0)
 
     label = np.zeros(config.num_classes, dtype=np.int8)
@@ -325,10 +337,6 @@ class ToyModel:
             items.append((f"b_ref_{k + 1}", self.b_ref[k]))
         return items
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        """The parameter array named as in ``param_items``."""
-        return dict(self.param_items())[name]
-
     def copy(self) -> "ToyModel":
         return ToyModel.from_flat(self.flat.copy(), self.num_classes, self.feature_dim, self.num_branches)
 
@@ -422,29 +430,14 @@ class ClassBalance:
 
 
 @dataclass
-class BranchSupervision:
-    """Supervision for one branch of one scene, plus sampling bookkeeping.
-
-    ``balance`` maps each present class id, in ascending order, to what
-    instance balance did with it; it is empty when balance is inactive.
-    """
-
-    targets: SupervisionTargets
-    zeta: float
-    pos_selected: int
-    neg_before: int
-    neg_after: int
-    balance: dict[int, ClassBalance] = field(default_factory=dict)
-
-
-@dataclass
-class SceneSupervision(Sequence[BranchSupervision]):
+class SceneSupervision:
     """Supervision for all K branches of one scene, as (K, ...) arrays; a
     stacked pass over B scenes gives B*K rows, scene-major.
 
-    Item k-1 is branch k's ``BranchSupervision``, whose targets are views of
-    row k-1 of the stack. ``balance[k-1]`` is branch k's ``balance``; training
-    never reads it, so ``balance_records`` builds it on first access.
+    ``balance[k-1]`` maps each present class id of branch k, in ascending
+    order, to what instance balance did with it; it is empty when balance is
+    inactive. Training never reads it, so ``balance_records`` builds it on
+    first access.
     """
 
     targets: SupervisionTargets  # (K, P)
@@ -457,32 +450,6 @@ class SceneSupervision(Sequence[BranchSupervision]):
     @functools.cached_property
     def balance(self) -> list[dict[int, ClassBalance]]:
         return self.balance_records()
-
-    def __len__(self) -> int:
-        return self.zeta.shape[0]
-
-    def __getitem__(self, k: int) -> BranchSupervision:
-        return BranchSupervision(
-            targets=self.targets.branch(k),
-            zeta=float(self.zeta[k]),
-            pos_selected=int(self.pos_selected[k]),
-            neg_before=int(self.neg_before[k]),
-            neg_after=int(self.neg_after[k]),
-            balance=self.balance[k],
-        )
-
-    @classmethod
-    def stack(cls, branches: Sequence[BranchSupervision]) -> "SceneSupervision":
-        if isinstance(branches, SceneSupervision):
-            return branches
-        return cls(
-            targets=SupervisionTargets.concat([b.targets.as_stack() for b in branches]),
-            zeta=np.array([b.zeta for b in branches]),
-            pos_selected=np.array([b.pos_selected for b in branches]),
-            neg_before=np.array([b.neg_before for b in branches]),
-            neg_after=np.array([b.neg_after for b in branches]),
-            balance_records=functools.partial(list, [b.balance for b in branches]),
-        )
 
 
 def supervise_scene(
@@ -602,10 +569,15 @@ def build_branch_supervision(
     method: str,
     seed: int,
     iteration: int,
-) -> BranchSupervision:
-    """Supervision of one 1-based branch: a view of ``supervise_scene``."""
-    scores.phi_prev(branch)  # validates the branch number
-    return supervise_scene(scene, scores, schedule, method, seed, iteration)[branch - 1]
+) -> SceneSupervision:
+    """Supervision of one 1-based branch: row ``branch - 1`` of
+    ``supervise_scene``, as a one-row ``SceneSupervision``."""
+    if not 1 <= branch <= scores.num_branches:
+        raise ValueError(f"branch must be in [1, {scores.num_branches}], got {branch}")
+    sup = supervise_scene(scene, scores, schedule, method, seed, iteration)
+    row = slice(branch - 1, branch)
+    return SceneSupervision(sup.targets.branch(row), sup.zeta[row], sup.pos_selected[row], sup.neg_before[row],
+                            sup.neg_after[row], balance_records=lambda: sup.balance[row])
 
 
 def scene_pass(
@@ -615,7 +587,7 @@ def scene_pass(
     method: str,
     seed: int,
     iteration: int,
-    frozen: Sequence[BranchSupervision] | None = None,
+    frozen: SceneSupervision | None = None,
     want_grads: bool = True,
 ) -> tuple[float, list[float], SceneSupervision, ToyModel | None]:
     """Forward pass, supervision of all branches, losses, and analytic gradients.
@@ -624,8 +596,8 @@ def scene_pass(
     through the live softmax scores only. Passing ``frozen`` supervision reuses
     targets from a previous pass (used by the finite-difference checker). The
     gradient comes back in the model's layout: ``grads.flat`` matches
-    ``model.flat`` and ``grads["w_cls"]`` names one parameter. This is the
-    one-scene case of the stacked step ``train`` runs per minibatch.
+    ``model.flat``. This is the one-scene case of the stacked step ``train``
+    runs per minibatch.
     """
     ws = _workspace(model, 1, scene.num_proposals)
     midn, ref_losses, sup = _batch_pass(model, [scene], schedule, method, seed, iteration, ws, frozen, want_grads)
@@ -634,7 +606,7 @@ def scene_pass(
 
 
 def _batch_pass(model: ToyModel, scenes: Sequence[Scene], schedule: ScheduleState, method: str, seed: int,
-                iteration: int, ws: SimpleNamespace, frozen: Sequence[BranchSupervision] | None = None,
+                iteration: int, ws: SimpleNamespace, frozen: SceneSupervision | None = None,
                 want_grads: bool = True) -> tuple[np.ndarray, list[float], SceneSupervision]:
     """``scene_pass`` of B scenes of one proposal count, in the buffers ``ws``:
     the (B,) MIDN losses, the B*K refinement losses and (B*K, P) supervision,
@@ -646,8 +618,7 @@ def _batch_pass(model: ToyModel, scenes: Sequence[Scene], schedule: ScheduleStat
     ws.supervisors[:, 1:] = ws.phi[:, :-1]
     phi = ws.phi.reshape(b * k, c + 1, -1)
     y_raw = image_scores(ws.supervisors[:, 0, :c])
-    sup = (_supervise(scenes, ws.supervisors, phi, schedule, method, seed, iteration) if frozen is None
-           else SceneSupervision.stack(frozen))
+    sup = _supervise(scenes, ws.supervisors, phi, schedule, method, seed, iteration) if frozen is None else frozen
     results = midn_loss(y_raw, labels), refinement_losses(sup.targets, phi, sup.zeta), sup
     if not want_grads:
         return results

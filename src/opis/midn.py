@@ -126,9 +126,3 @@ class ScoreSet:
     def supervisors(self) -> np.ndarray:
         """(K, C+1, P): ``supervisors[k-1]`` is the score matrix supervising branch k."""
         return self.phis[:-1]
-
-    def phi_prev(self, branch: int) -> np.ndarray:
-        """Score matrix supervising the given 1-based branch."""
-        if not 1 <= branch <= self.num_branches:
-            raise ValueError(f"branch must be in [1, {self.num_branches}], got {branch}")
-        return self.phis[branch - 1]

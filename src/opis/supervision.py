@@ -49,8 +49,8 @@ class SupervisionTargets:
     def num_proposals(self) -> int:
         return self.assigned_class.shape[-1]
 
-    def branch(self, k: int) -> "SupervisionTargets":
-        """Row ``k`` of a stack, as views."""
+    def branch(self, k: int | slice) -> "SupervisionTargets":
+        """Row ``k`` of a stack, or the stack of rows in a slice, as views."""
         return SupervisionTargets(self.assigned_class[k], self.max_iou[k], self.source_class[k],
                                   self.weight[k], self.selected[k], self.num_classes)
 

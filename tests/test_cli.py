@@ -2,6 +2,7 @@
 outputs, and the sampler trace."""
 
 import configparser
+import io
 import json
 import math
 import os
@@ -679,3 +680,87 @@ def test_noise_free_world_runs_every_command(tmp_path, capsys):
     assert main(["eval", "--config", str(p), "--model", model, "--out", str(tmp_path / "e")]) == EXIT_OK
     assert main(["sample-demo", "--config", str(p)]) == EXIT_OK
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _config_with(values: dict, base: str = SMALL_CONFIG) -> str:
+    """The ``base`` config with each of ``values`` set in its own section."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(base)
+    for key, value in values.items():
+        if not parser.has_section(SECTION_OF[key]):
+            parser.add_section(SECTION_OF[key])
+        parser.set(SECTION_OF[key], key, repr(value))
+    text = io.StringIO()
+    parser.write(text)
+    return text.getvalue()
+
+
+ENDPOINTS = {
+    "one_proposal": dict(num_proposals=1, jitter=0.0, clutter_rate=0.0, max_objects=1, nms_iou=5e-324,
+                         score_floor=0.0),
+    "one_class_one_dim": dict(num_classes=1, feature_dim=1, refinements=1),
+    "widest_ignore_band": dict(lambda_ig=0.0, lambda_ng=1.0),
+    "huge_reweighting": dict(gamma=1e308, alpha=1e308, i_0=1e308, beta=0.0),
+    "zero_init": dict(init_scale=0.0),
+    "extreme_optimizer": dict(learning_rate=5e-324, momentum=math.nextafter(1.0, 0.0), weight_decay=1e308),
+    "batch_above_epoch": dict(batch_size=11, t0_fraction=5e-324),
+    # Only unjittered proposals cover an object at IoU 1; with jitter the world is uncoverable (exit 2).
+    "exact_coverage": dict(coverage_iou=1.0, jitter=0.0),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(ENDPOINTS))
+def test_admissible_endpoint_keeps_the_cli_contract(case, tmp_path, capsys):
+    """Values at the ends of their intervals keep the contract (exit 0, 2 or
+    3, at most one stderr line, no traceback); each of these cases trains,
+    evaluates and traces the sampler with exit 0 and an empty stderr, and a
+    numpy warning fails the test."""
+    p = tmp_path / "edge.ini"
+    p.write_text(_config_with(ENDPOINTS[case]))
+    run = tmp_path / "run"
+    commands = [["train", "--out", str(run), "--iterations-override", "2"],
+                ["eval", "--model", str(run / "model.json"), "--out", str(tmp_path / "e")], ["sample-demo"]]
+    for command in commands:
+        rc = main([command[0], "--config", str(p)] + command[1:])
+        assert (rc, capsys.readouterr().err) == (EXIT_OK, ""), command[0]
+
+
+SHORT_TRAIN = "[train]\nscenes_per_epoch = 6\nepochs = 2\neval_scenes = 3\n"
+BAD_WORLDS = {
+    # The objects are narrower than the coordinates resolve; jittering them never ended.
+    "zero_area_objects": (dict(world_size=1e6, object_size_min=1e-12, object_size_max=1e-12),
+                          "object_size_min = 1e-12 and object_size_max = 1e-12 give boxes of zero width"),
+    # Zero-area clutter made NaN IoUs, which surfaced as a traceback or a numerical failure.
+    "zero_area_clutter": (dict(object_size_min=1e4, object_size_max=3e4, world_size=1e5, clutter_size_min=1e-12,
+                               clutter_size_max=1e-12, clutter_rate=0.9),
+                          "clutter_size_min = 1e-12 and clutter_size_max = 1e-12 give boxes of zero width"),
+    # Squared feature norms overflowed, and every feature row silently became zero.
+    "overflowing_features": (dict(feature_noise=1e308), "features overflow at feature_noise = 1e+308"),
+    # Box areas overflowed: the world was uncoverable, after a page of numpy warnings.
+    "overflowing_boxes": (dict(world_size=1e308, object_size_min=1e308, object_size_max=1e308,
+                               clutter_size_min=1e308, clutter_size_max=1e308),
+                          "box coordinates or IoUs are not finite at world_size = 1e+308"),
+    # Box areas underflowed to zero, so every IoU was 0 / 0.
+    "underflowing_areas": (dict(world_size=1e-300, object_size_min=1e-301, object_size_max=2e-301,
+                                clutter_size_min=1e-301, clutter_size_max=1e-301),
+                           "box coordinates or IoUs are not finite at world_size = 1e-300"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "sample-demo"])
+@pytest.mark.parametrize("case", sorted(BAD_WORLDS))
+def test_degenerate_world_exits_2_in_one_line(case, command, tmp_path):
+    """In a real process, where numpy prints a given warning once, not to a
+    test runner: the world's boxes or features are a [data] error that says
+    which. The rest of [data] is the default world."""
+    values, named = BAD_WORLDS[case]
+    (tmp_path / "cfg.ini").write_text(_config_with(values, SHORT_TRAIN))
+    args = ["--out", "o", "--iterations-override", "2"] if command == "train" else []
+    env = dict(os.environ, PYTHONPATH=str(Path(opis.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "opis.cli", command, "--config", "cfg.ini"] + args,
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("configuration error: [data]: "), proc.stderr
+    assert named in proc.stderr
+    assert not (tmp_path / "o").exists()

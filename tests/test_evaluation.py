@@ -2,11 +2,11 @@
 greedy matching rules, and the CorLoc counter. AP matching is checked against
 the per-detection matcher and running-max envelope it replaced, and the
 lockstep NMS against the per-class greedy loop it replaced, both kept here
-verbatim as oracles, as are the per-scene matcher and the per-(scene, class)
-CorLoc loop that one-pass matching and stacked scoring replaced. A stack of
-scenes in one NMS call must keep what each scene's own call keeps, and a
-stack scored in one forward pass must give each scene's own scores bit for
-bit."""
+verbatim as oracles, as are the per-scene matcher, the per-(scene, class)
+CorLoc loop and the per-scene ``branch_mean_scores`` that one-pass matching
+and stacked scoring replaced. A stack of scenes in one NMS call must keep
+what each scene's own call keeps, and a stack scored in one forward pass must
+give each scene's own scores bit for bit."""
 
 import dataclasses
 
@@ -15,14 +15,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from opis import evaluation
+from opis import evaluation, harness
 from opis.evaluation import (
     UndefinedAPError,
     DetectionRecords,
     Detections,
     MetricsReport,
     _class_ap,
-    branch_mean_scores,
     corloc,
     detect,
     dump_detections,
@@ -38,6 +37,12 @@ def det(x1, y1, x2, y2, score, cls=1):
 
 
 GT_UNIT = [(BBox(0, 0, 10, 10), 1)]
+
+
+def branch_mean_scores(model: ToyModel, scene: Scene) -> np.ndarray:
+    """(C+1, P) class scores: mean of the refinement branches' softmax outputs."""
+    scores = forward(model, scene)
+    return np.mean(scores.phi, axis=0)
 
 
 class TestVocAP:
@@ -405,8 +410,8 @@ class TestOneScoringPerScene:
 
         expected, _ = evaluate_scenes(model, scenes)
         monkeypatch.setattr(evaluation, "_stack_logits", counted_stack)
-        for name in ("forward", "detect"):
-            monkeypatch.setattr(evaluation, name, lambda *args, **kwargs: per_scene_calls.append(args))
+        for module, name in ((harness, "forward"), (evaluation, "detect")):
+            monkeypatch.setattr(module, name, lambda *args, **kwargs: per_scene_calls.append(args))
         monkeypatch.setattr(evaluation, "_STACK_BYTES", stack_bytes(model, 30, 2))
         report, records = evaluate_scenes(model, scenes)
         assert per_scene_calls == []

@@ -119,7 +119,7 @@ def cases(draw):
 
 def single_branch_pipeline(scene, scores, branch, schedule, method, seed):
     """Supervision of one branch from the one-branch public functions."""
-    phi_prev = scores.phi_prev(branch)
+    phi_prev = scores.phis[branch - 1]
     centers = select_cluster_centers(phi_prev, scene.image_label)
     targets, assignment = assign_labels(centers, scene.proposals, phi_prev, schedule.lambda_ig, schedule.lambda_ng)
     zeta_k = 1.0
@@ -161,12 +161,12 @@ def test_batched_pass_on_degenerate_scenes(case):
     assert math.isfinite(loss_midn)
     assert all(math.isfinite(v) for v in ref_losses)
     assert np.isfinite(grads.flat).all()
-    assert len(sup) == model.num_branches
+    assert sup.zeta.shape == (model.num_branches,)
 
     scores = forward(model, scene)
     c_bg = model.num_classes + 1
-    for k, branch in enumerate(sup, start=1):
-        t = branch.targets
+    for k in range(1, model.num_branches + 1):
+        t, balance, zeta_row = sup.targets.branch(k - 1), sup.balance[k - 1], sup.zeta[k - 1]
         # Every proposal is exactly one of positive, negative, ignored.
         positive = (t.assigned_class >= 1) & (t.assigned_class < c_bg)
         negative = t.assigned_class == c_bg
@@ -177,10 +177,10 @@ def test_batched_pass_on_degenerate_scenes(case):
         np.testing.assert_array_equal(t.assigned_class[positive], t.source_class[positive])
         assert not np.any(t.selected & ignored)
         assert np.all(t.weight[~t.selected] == 0.0)
-        assert branch.neg_after <= branch.neg_before == np.count_nonzero(negative)
+        assert sup.neg_after[k - 1] <= sup.neg_before[k - 1] == np.count_nonzero(negative)
 
         # The sampler's count law, per sampled class.
-        for c, rec in branch.balance.items():
+        for c, rec in balance.items():
             if rec.outcome != "sampled":
                 continue
             d = rec.detail
@@ -188,19 +188,20 @@ def test_batched_pass_on_degenerate_scenes(case):
             assert np.all(t.source_class[d.selected] == c) and np.all(negative[d.selected])
             if d.target < rec.n_neg:
                 assert [s.size for s in d.stage1] == [min(rec.n_pos, b.size) for b in d.bin_members]
-        if branch.balance:
-            assert branch.zeta == scene.num_proposals / np.count_nonzero(t.selected)
+        if balance:
+            assert zeta_row == scene.num_proposals / np.count_nonzero(t.selected)
         if layout == "one_bin" and np.any(negative):
             # Every negative of the lowest present class falls in one bin.
-            sampled = [r for r in branch.balance.values() if r.outcome == "sampled"]
+            sampled = [r for r in balance.values() if r.outcome == "sampled"]
             assert all(sum(b.size > 0 for b in r.detail.bin_members) == 1 for r in sampled)
 
         expected, zeta_k = single_branch_pipeline(scene, scores, k, schedule, method, seed)
         assert_same_targets(t, expected)
-        assert branch.zeta == zeta_k
+        assert zeta_row == zeta_k
         single = build_branch_supervision(scene, scores, k, schedule, method, seed, schedule.t_n)
-        assert_same_targets(single.targets, t)
-        assert single.balance.keys() == branch.balance.keys()
+        assert_same_targets(single.targets.branch(0), t)
+        assert single.zeta.tolist() == [zeta_row]
+        assert single.balance[0].keys() == balance.keys()
 
 
 @pytest.mark.parametrize("num_branches", [1, 3])
@@ -212,12 +213,13 @@ def test_shared_center_goes_to_the_lowest_class(num_branches):
     model = ToyModel.initialize(3, 4, num_branches, seed=0, init_scale=0.0)
     schedule = ScheduleState(t_n=15, t_0=T_0, t_1=T_1)
     _, _, sup, _ = scene_pass(model, scene, schedule, "opis", 0, 15)
-    for branch in sup:
-        np.testing.assert_array_equal(branch.targets.source_class, [2, 2, 2])
-        np.testing.assert_array_equal(branch.targets.assigned_class, [2, 2, 4])
-        assert {c: r.outcome for c, r in branch.balance.items()} == {2: "sampled", 3: "absorbed"}
+    assert len(sup.balance) == num_branches
+    np.testing.assert_array_equal(sup.targets.source_class, [[2, 2, 2]] * num_branches)
+    np.testing.assert_array_equal(sup.targets.assigned_class, [[2, 2, 4]] * num_branches)
+    for balance in sup.balance:
+        assert {c: r.outcome for c, r in balance.items()} == {2: "sampled", 3: "absorbed"}
         # One negative against a target of floor(mu * 2): the whole supply is kept.
-        assert branch.balance[2].detail.selected.tolist() == [2]
+        assert balance[2].detail.selected.tolist() == [2]
 
 
 def loop_supervise_scene(scene, scores, schedule, method, seed, iteration):
@@ -406,12 +408,12 @@ def test_balance_records_do_not_depend_on_read_order():
     scores = forward(ToyModel.initialize(3, 8, 3, seed=3, init_scale=2.0), scene)
     schedule = ScheduleState(t_n=12, t_0=T_0, t_1=T_1)
     records_first = supervise_scene(scene, scores, schedule, "opis", 3, 12)
-    branches_first = supervise_scene(scene, scores, schedule, "opis", 3, 12)
+    rows_first = [build_branch_supervision(scene, scores, k, schedule, "opis", 3, 12) for k in (1, 2, 3)]
+    # The rows, last branch first, are read before the whole scene's records.
+    row_balance = [row.balance for row in reversed(rows_first)][::-1]
     balance = records_first.balance
-    branches = list(branches_first)
-    assert_same_records(balance, branches_first.balance)
-    assert_same_records(balance, [b.balance for b in branches])
-    assert [b.balance for b in records_first] == balance
+    assert_same_records(balance, [rows[0] for rows in row_balance])
+    assert_same_records(balance, supervise_scene(scene, scores, schedule, "opis", 3, 12).balance)
 
 
 def loop_train(config, dataset):
