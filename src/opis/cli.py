@@ -78,7 +78,8 @@ def load_config(path: str | Path) -> TrainConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    parser = configparser.ConfigParser(interpolation=None)
+    # No section can be named "", so [DEFAULT] is an (unknown) section; a value may end in "; comment".
+    parser = configparser.ConfigParser(interpolation=None, default_section="", inline_comment_prefixes=(";",))
     try:
         parser.read_string(p.read_text())
     except configparser.Error as exc:
@@ -309,23 +310,29 @@ def cmd_sample_demo(args: argparse.Namespace) -> int:
           f"mu={schedule.mu:.4f} I_t={schedule.neglect:.4f}")
     width = (schedule.lambda_ng - schedule.lambda_ig) / N_BINS
     # The trace is of the sampler, so run the pipeline with instance balance
-    # on whatever [train] method says.
-    sup = supervise_scene(scene, scores, schedule, "pib_only", config.seed, iteration)
-    for branch, branch_balance in enumerate(sup.balance, start=1):
-        print(f"branch {branch}:")
-        for c, rec in branch_balance.items():
-            detail = rec.detail
-            if rec.outcome == "absorbed":
+    # on whatever [train] method says, and print the counts that pass recorded.
+    balance = supervise_scene(scene, scores, schedule, "pib_only", config.seed, iteration).balance
+    for row, drew in enumerate(balance.drew):
+        print(f"branch {row + 1}:")
+        for c in (np.flatnonzero(scene.image_label) + 1).tolist():
+            n_pos, n_neg, target = int(balance.n_pos[row, c]), int(balance.n_neg[row, c]), balance.target[row, c]
+            if n_pos == 0:
                 print(f"  class {c}: center absorbed by a lower class, skipped")
-            elif detail is None:
-                print(f"  class {c}: n_pos={rec.n_pos} n_neg=0 -> neglect rule keeps {rec.outcome}")
+            elif n_neg == 0:
+                kept = "center only" if balance.fired[row, c] else "all positives"
+                print(f"  class {c}: n_pos={n_pos} n_neg=0 -> neglect rule keeps {kept}")
             else:
-                print(f"  class {c}: n_pos={rec.n_pos} n_neg={rec.n_neg} target={detail.target:.15g}")
-                for j, (members, picked) in enumerate(zip(detail.bin_members, detail.stage1)):
+                # A group that drew takes min(n_pos, supply) from each bin and
+                # tops up to its target; any other keeps every negative.
+                supply = balance.supply[row, c]
+                stage1 = np.minimum(supply, n_pos) if drew[c] else supply
+                selected = int(target) if drew[c] else n_neg
+                print(f"  class {c}: n_pos={n_pos} n_neg={n_neg} target={target:.15g}")
+                for j, (members, picked) in enumerate(zip(supply.tolist(), stage1.tolist())):
                     lo = schedule.lambda_ig + j * width
-                    print(f"    bin [{lo:.3f},{lo + width:.3f}): {members.size} negatives, stage-1 selected {picked.size}")
-                print(f"    stage-2 top-up: {detail.stage2.size}")
-                print(f"    selected |N'| = {detail.selected.size}")
+                    print(f"    bin [{lo:.3f},{lo + width:.3f}): {members} negatives, stage-1 selected {picked}")
+                print(f"    stage-2 top-up: {selected - int(stage1.sum())}")
+                print(f"    selected |N'| = {selected}")
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .geometry import BBox, ScoredBox, nms_indices, pairwise_iou
-from .harness import Scene, ToyModel, _stack_logits
+from .harness import Scene, ToyModel, TrainConfig, _stack_logits
 from .midn import softmax
 
 __all__ = [
@@ -84,8 +84,8 @@ class DetectionRecords(Detections):
 def detect(
     model: ToyModel,
     scene: Scene,
-    nms_iou: float = 0.3,
-    score_floor: float = 1e-3,
+    nms_iou: float = TrainConfig.nms_iou,
+    score_floor: float = TrainConfig.score_floor,
     scores: np.ndarray | None = None,
 ) -> Detections:
     """Per-class NMS-filtered detections from branch-averaged scores, class by
@@ -287,8 +287,8 @@ class MetricsReport:
 def evaluate_scenes(
     model: ToyModel,
     scenes: Sequence[Scene],
-    nms_iou: float = 0.3,
-    score_floor: float = 1e-3,
+    nms_iou: float = TrainConfig.nms_iou,
+    score_floor: float = TrainConfig.score_floor,
     iou_thresh: float = 0.5,
 ) -> tuple[MetricsReport, DetectionRecords]:
     """Detect on every scene and compute mAP plus CorLoc over the whole set.

@@ -16,7 +16,7 @@ import math
 import time
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,13 +25,14 @@ from .losses import refinement_grads, refinement_losses, total_loss, zeta
 from .midn import ScoreSet, image_scores, midn_loss, midn_loss_grad, softmax
 from .reweighting import reweight_branch
 from .sampling import (
-    NegativeSampleDetail,
+    N_BINS,
     SamplerParams,
     SamplerRng,
     ScheduleState,
     _binned_draw,
     bounded,
     check_bounds,
+    iou_bins,
     keep_selected,
     reselect_positives,
 )
@@ -46,7 +47,7 @@ __all__ = [
     "TrainLog",
     "IterationRecord",
     "SceneSupervision",
-    "ClassBalance",
+    "BalanceCounts",
     "TrainingDivergence",
     "class_prototypes",
     "generate_scene",
@@ -191,7 +192,10 @@ def generate_scene(config: SceneConfig, rng: np.random.Generator, scene_id: int 
                 parts.append(_random_boxes(config, rng, n_clutter, "clutter"))
             proposals = np.concatenate(parts, axis=0)
             overlap = pairwise_iou(gt_boxes, proposals).T
-        if not (np.isfinite(proposals).all() and np.isfinite(overlap).all()):
+            area = (proposals[:, 2] - proposals[:, 0]) * (proposals[:, 3] - proposals[:, 1])
+        # Two proposals' areas must also add up to a float in their IoU's union.
+        if not (np.isfinite(proposals).all() and np.isfinite(overlap).all()
+                and area.max() <= np.finfo(float).max / 2):
             raise RuntimeError(f"box coordinates or IoUs are not finite at world_size = {config.world_size}, "
                                f"jitter = {config.jitter}")
         if np.all(overlap.max(axis=0) >= config.coverage_iou):
@@ -414,42 +418,31 @@ def forward(model: ToyModel, scene: Scene) -> ScoreSet:
 
 
 @dataclass
-class ClassBalance:
-    """What progressive instance balance did with one present class.
+class BalanceCounts:
+    """What progressive instance balance did with each group of a supervision
+    stack: entry [row, c] is class c of that row, whose positives and
+    negatives are those of the class's center box. Filled during the pass."""
 
-    ``outcome`` is "absorbed" (a lower class's identical center took all of
-    this class's proposals), "center only" or "all positives" (the class had
-    no negatives, so the neglect rule decided), or "sampled", in which case
-    ``detail`` traces the negative sampler.
-    """
-
-    n_pos: int
-    n_neg: int
-    outcome: str
-    detail: NegativeSampleDetail | None = None
+    n_pos: np.ndarray  # (rows, C+1) int64 positives; 0 for a present class another class's center absorbed
+    n_neg: np.ndarray  # (rows, C+1) int64 negatives, the supply
+    supply: np.ndarray  # (rows, C+1, N_BINS) int64 negatives per IoU bin
+    target: np.ndarray  # (rows, C+1) float64 floor(mu * n_pos), inf where the product overflows
+    drew: np.ndarray  # (rows, C+1) bool: the target was below the supply, so the group drew on its stream
+    fired: np.ndarray  # (rows, C+1) bool: no negatives, and the neglect rule kept only the center
 
 
 @dataclass
 class SceneSupervision:
     """Supervision for all K branches of one scene, as (K, ...) arrays; a
-    stacked pass over B scenes gives B*K rows, scene-major.
-
-    ``balance[k-1]`` maps each present class id of branch k, in ascending
-    order, to what instance balance did with it; it is empty when balance is
-    inactive. Training never reads it, so ``balance_records`` builds it on
-    first access.
-    """
+    stacked pass over B scenes gives B*K rows, scene-major. ``balance`` is
+    ``None`` when instance balance is inactive."""
 
     targets: SupervisionTargets  # (K, P)
     zeta: np.ndarray  # (K,)
     pos_selected: np.ndarray  # (K,)
     neg_before: np.ndarray  # (K,)
     neg_after: np.ndarray  # (K,)
-    balance_records: Callable[[], list[dict[int, ClassBalance]]] = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def balance(self) -> list[dict[int, ClassBalance]]:
-        return self.balance_records()
+    balance: BalanceCounts | None
 
 
 def supervise_scene(
@@ -478,7 +471,8 @@ def _supervise(scenes: Sequence[Scene], supervisors: np.ndarray, phi: np.ndarray
     negatives and the neglect rule fires, and keeps all its negatives unless
     its target floor(mu * n_pos) is below their supply. Only then does it
     draw, on its own (scene, iteration, branch, class) ``SamplerRng`` stream,
-    so the draws are those of the per-class sampler.
+    so the draws are those of the per-class sampler. The group counts of
+    the pass are its ``balance`` record.
     """
     num_branches, num_proposals = supervisors.shape[1], phi.shape[-1]
     lambda_ig, lambda_ng, finetune = schedule.lambda_ig, schedule.lambda_ng, schedule.phase == "finetune"
@@ -491,58 +485,41 @@ def _supervise(scenes: Sequence[Scene], supervisors: np.ndarray, phi: np.ndarray
     neg_after = neg_before
     zetas = np.ones(rows)
 
-    balance = lambda: [{} for _ in range(rows)]
+    balance = None
     if finetune and method in ("pib_only", "opis"):
         mu, neglect, stride = schedule.mu, schedule.neglect, targets.num_classes + 1
-        labeled, source, max_iou = targets.assigned_class > 0, targets.source_class, targets.max_iou
+        labeled, source = targets.assigned_class > 0, targets.source_class
         group = source + stride * np.arange(rows)[:, None]
-        n_neg = np.bincount(group[negative], minlength=rows * stride)
+        neg_group, neg_col = group[negative], negative.nonzero()[1]
+        neg_bin = iou_bins(targets.max_iou[negative], lambda_ig, lambda_ng)
+        supply = np.bincount(neg_group * N_BINS + neg_bin, minlength=rows * stride * N_BINS).reshape(-1, N_BINS)
+        n_neg = supply.sum(axis=1)
         n_pos = np.bincount(group[labeled], minlength=rows * stride) - n_neg
         has_pos = n_pos > 0
-        # Once mu > P >= n_neg, floor(mu * n_pos) >= n_neg for every n_pos >= 1,
-        # so capping mu at P decides every group alike and cannot overflow.
-        draws = has_pos & (np.floor(min(mu, num_proposals) * n_pos) < n_neg)
-        keep = labeled & (~negative | (has_pos & ~draws)[group])
-
-        def draw(g: int, rng: np.random.Generator | None) -> NegativeSampleDetail:
-            row, c = divmod(g, stride)
-            neg_c = (negative[row] & (source[row] == c)).nonzero()[0]
-            return _binned_draw(neg_c, max_iou[row, neg_c], int(n_pos[g]), mu, lambda_ig, lambda_ng, rng)
-
-        details: dict[int, NegativeSampleDetail] = {}
-        for g in draws.nonzero()[0].tolist():
+        with np.errstate(over="ignore"):  # an overflowing product is a target above every supply
+            target = np.floor(mu * n_pos)
+        drew = has_pos & (target < n_neg)
+        keep = labeled & (~negative | (has_pos & ~drew)[group])
+        for g in drew.nonzero()[0].tolist():
             (b, k), c = divmod(g // stride, num_branches), g % stride
-            details[g] = draw(g, SamplerRng(seed, scenes[b].scene_id, iteration, k + 1, c).generator())
-            keep[g // stride, details[g].selected] = True
+            at = neg_group == g
+            rng = SamplerRng(seed, scenes[b].scene_id, iteration, k + 1, c).generator()
+            keep[g // stride, _binned_draw(neg_col[at], neg_bin[at], int(n_pos[g]), mu, rng).selected] = True
 
-        neglected: dict[int, str] = {}
+        fired = np.zeros(rows * stride, dtype=bool)
         for g in (has_pos & (n_neg == 0)).nonzero()[0].tolist():
             (b, k), c = divmod(g // stride, num_branches), g % stride
             pos_c = (targets.assigned_class[g // stride] == c).nonzero()[0]
             center = int(centered[b][1][k, np.searchsorted(centered[b][0], c)])
             kept = reselect_positives(pos_c, supervisors[b, k], c, center, neglect)
             # The rule returns pos_c itself unless it fires.
-            neglected[g] = "all positives" if kept is pos_c else "center only"
+            fired[g] = kept is not pos_c
             keep[g // stride, pos_c] = False
             keep[g // stride, kept] = True
 
-        def balance() -> list[dict[int, ClassBalance]]:
-            records: list[dict[int, ClassBalance]] = [{} for _ in range(rows)]
-            for row in range(rows):
-                for c in centered[row // num_branches][0].tolist():
-                    g = row * stride + c
-                    n_p, n_q = int(n_pos[g]), int(n_neg[g])
-                    if n_p == 0:
-                        # Another class's identical center box absorbed this
-                        # class's proposals; there is nothing to balance.
-                        records[row][c] = ClassBalance(0, n_q, "absorbed")
-                    elif n_q == 0:
-                        records[row][c] = ClassBalance(n_p, 0, neglected[g])
-                    else:
-                        detail = details[g] if g in details else draw(g, None)
-                        records[row][c] = ClassBalance(n_p, n_q, "sampled", detail)
-            return records
-
+        grid = (rows, stride)
+        balance = BalanceCounts(n_pos.reshape(grid), n_neg.reshape(grid), supply.reshape(*grid, N_BINS),
+                                target.reshape(grid), drew.reshape(grid), fired.reshape(grid))
         neg_after = (keep & negative).sum(axis=1)
         targets = keep_selected(targets, keep)
         zetas = zeta("finetune", num_proposals, keep.sum(axis=1))
@@ -557,7 +534,7 @@ def _supervise(scenes: Sequence[Scene], supervisors: np.ndarray, phi: np.ndarray
         pos_selected=np.count_nonzero(targets.selected & targets.positive_mask(), axis=1),
         neg_before=neg_before,
         neg_after=neg_after,
-        balance_records=balance,
+        balance=balance,
     )
 
 
@@ -576,8 +553,10 @@ def build_branch_supervision(
         raise ValueError(f"branch must be in [1, {scores.num_branches}], got {branch}")
     sup = supervise_scene(scene, scores, schedule, method, seed, iteration)
     row = slice(branch - 1, branch)
+    balance = None if sup.balance is None else BalanceCounts(*(getattr(sup.balance, f.name)[row]
+                                                               for f in fields(BalanceCounts)))
     return SceneSupervision(sup.targets.branch(row), sup.zeta[row], sup.pos_selected[row], sup.neg_before[row],
-                            sup.neg_after[row], balance_records=lambda: sup.balance[row])
+                            sup.neg_after[row], balance)
 
 
 def scene_pass(

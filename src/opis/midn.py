@@ -36,8 +36,10 @@ def _as_finite_matrix(x: np.ndarray, name: str) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax along ``axis`` of an array already known to be finite."""
-    e = logits - logits.max(axis=axis, keepdims=True)
+    """Softmax along ``axis`` of an array already known to be finite. A
+    difference too wide for a float is -inf, whose exp is the 0 it underflows to."""
+    with np.errstate(over="ignore"):
+        e = logits - logits.max(axis=axis, keepdims=True)
     np.exp(e, out=e)
     return np.divide(e, e.sum(axis=axis, keepdims=True), out=e if out is None else out)
 

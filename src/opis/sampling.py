@@ -28,6 +28,7 @@ __all__ = [
     "ratio_mu",
     "neglect_threshold",
     "iou_bin_edges",
+    "iou_bins",
     "sample_negatives",
     "sample_negatives_detail",
     "reselect_positives",
@@ -214,18 +215,21 @@ def sample_negatives_detail(
 
     if lambda_ig >= lambda_ng:
         raise ValueError(f"need lambda_ig < lambda_ng, got ({lambda_ig}, {lambda_ng})")
-    return _binned_draw(neg_indices, neg_ious, n_pos, mu, lambda_ig, lambda_ng, rng)
+    return _binned_draw(neg_indices, iou_bins(neg_ious, lambda_ig, lambda_ng), n_pos, mu, rng)
 
 
-def _binned_draw(neg_indices: np.ndarray, neg_ious: np.ndarray, n_pos: int, mu: float, lambda_ig: float,
-                 lambda_ng: float, rng: np.random.Generator | None) -> NegativeSampleDetail:
-    """``sample_negatives_detail`` on checked int64 indices and float64 IoUs.
-    ``rng`` is read only when the target is below the supply."""
+def iou_bins(ious: np.ndarray, lambda_ig: float, lambda_ng: float) -> np.ndarray:
+    """The equal-width bin, 0 to N_BINS - 1, of each negative IoU in (lambda_ig, lambda_ng)."""
+    width = (lambda_ng - lambda_ig) / N_BINS
+    return np.minimum(np.maximum(((ious - lambda_ig) / width).astype(np.int64), 0), N_BINS - 1)
+
+
+def _binned_draw(neg_indices: np.ndarray, bin_of: np.ndarray, n_pos: int, mu: float,
+                 rng: np.random.Generator) -> NegativeSampleDetail:
+    """``sample_negatives_detail`` on checked int64 indices and their ``iou_bins``."""
     product = mu * n_pos
     # An overflowing product is a target above every supply, not an error.
     target = product if product == math.inf else math.floor(product)
-    width = (lambda_ng - lambda_ig) / N_BINS
-    bin_of = np.minimum(np.maximum(((neg_ious - lambda_ig) / width).astype(np.int64), 0), N_BINS - 1)
     bin_pos = [(bin_of == j).nonzero()[0] for j in range(N_BINS)]
     bins = [neg_indices[pos] for pos in bin_pos]
     detail = NegativeSampleDetail(target=target, bin_members=bins, stage1=[], stage2=np.empty(0, dtype=np.int64))

@@ -13,6 +13,8 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import opis
 from opis import cli
@@ -73,6 +75,19 @@ class TestLoadConfig:
         p.write_text("[sampling]\nmu_s = 20\n")
         with pytest.raises(ConfigError, match="sampling"):
             load_config(p)
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nmu_s = 30\n",  # trained at mu_s = 20 without a word
+        "[sampler]\nalpha = 0.5\n[DEFAULT]\nmu_s = 30\n",  # its mu_s applied in [sampler]
+        "[data]\nnum_classes = 3\n[DEFAULT]\nmu_s = 30\n",  # blamed [data]
+        "[DEFAULT]\n",
+    ], ids=["alone", "with-sampler", "with-data", "empty"])
+    def test_default_section_is_unknown(self, text, tmp_path, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text(text)
+        assert main(["train", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "configuration error: unknown config section [DEFAULT]\n"
+        assert not (tmp_path / "o").exists()
 
     def test_bad_value_named(self, tmp_path):
         p = tmp_path / "bad.ini"
@@ -293,6 +308,9 @@ def test_eval_overflow_names_the_scene_and_tensor(config_path, tmp_path, capsys)
 
 DIVERGING = SMALL_CONFIG.replace("learning_rate = 0.3", "learning_rate = 1e9")
 HUGE_INIT = SMALL_CONFIG.replace("[model]\n", "[model]\ninit_scale = 1e308\n")
+# The first step leaves finite logits whose spread overflows the softmax's subtraction.
+HUGE_STEP = ("[data]\nnum_proposals = 40\nobject_size_max = 20\n\n"
+             "[train]\nscenes_per_epoch = 6\nepochs = 2\neval_scenes = 3\nlearning_rate = 1e308\n")
 
 
 @pytest.mark.parametrize("command,config_text,args", [
@@ -301,9 +319,10 @@ HUGE_INIT = SMALL_CONFIG.replace("[model]\n", "[model]\ninit_scale = 1e308\n")
     ("sample-demo", HUGE_INIT, []),
     ("train", DIVERGING, ["--out", "e", "--iterations-override", "300"]),
     ("train", HUGE_INIT, ["--out", "e"]),
+    ("train", HUGE_STEP, ["--out", "e", "--iterations-override", "2"]),
     ("compare", DIVERGING, ["--out", "e", "--methods", "baseline,opis", "--seeds", "0", "--iterations-override", "300"]),
 ], ids=["eval-huge-model", "sample-demo-huge-model", "sample-demo-huge-init", "train-diverging", "train-huge-init",
-        "compare-diverging"])
+        "train-huge-step", "compare-diverging"])
 def test_numerical_failure_prints_one_stderr_line(command, config_text, args, tmp_path):
     """In a real process, where no test runner captures numpy's warnings, and
     with two worker processes for compare."""
@@ -651,13 +670,15 @@ def _readme_ini():
     return text.split("```ini\n", 1)[1].split("```", 1)[0]
 
 
-def test_readme_config_block_matches_defaults():
-    def typed(text):
-        parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
-        parser.read_string(text)
-        return {s: {k: TYPE_OF[k](v) for k, v in parser.items(s)} for s in parser.sections()}
-
-    assert typed(_readme_ini()) == typed(resolved_config_text(opis.TrainConfig()))
+def test_readme_config_block_matches_defaults(tmp_path):
+    """The block, copied to a file, loads as the default config; it has the
+    sections and keys of the resolved-config echo, which loads the same."""
+    readme, resolved = _readme_ini(), resolved_config_text(opis.TrainConfig())
+    names = r"^\[\w+\]|^\w+(?= = )"
+    assert re.findall(names, readme, flags=re.M) == re.findall(names, resolved, flags=re.M)
+    for name, text in (("readme.ini", readme), ("resolved.ini", resolved)):
+        (tmp_path / name).write_text(text)
+        assert load_config(tmp_path / name) == opis.TrainConfig(), name
 
 
 def test_readme_config_block_gives_every_interval():
@@ -706,6 +727,8 @@ ENDPOINTS = {
     "batch_above_epoch": dict(batch_size=11, t0_fraction=5e-324),
     # Only unjittered proposals cover an object at IoU 1; with jitter the world is uncoverable (exit 2).
     "exact_coverage": dict(coverage_iou=1.0, jitter=0.0),
+    # floor(mu * n_pos) overflows to inf for every n_pos >= 2.
+    "huge_mu_s": dict(mu_s=1e308),
 }
 
 
@@ -745,6 +768,9 @@ BAD_WORLDS = {
     "underflowing_areas": (dict(world_size=1e-300, object_size_min=1e-301, object_size_max=2e-301,
                                 clutter_size_min=1e-301, clutter_size_max=1e-301),
                            "box coordinates or IoUs are not finite at world_size = 1e-300"),
+    # Finite proposals whose areas overflow a union: a warning and exit 0, or a traceback.
+    "overflowing_proposal_areas": (dict(jitter=1e303),
+                                   "box coordinates or IoUs are not finite at world_size = 100.0, jitter = 1e+303"),
 }
 
 
@@ -764,3 +790,72 @@ def test_degenerate_world_exits_2_in_one_line(case, command, tmp_path):
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("configuration error: [data]: "), proc.stderr
     assert named in proc.stderr
     assert not (tmp_path / "o").exists()
+
+
+def _wide_logits_model(path):
+    """A one-class, one-dim model whose refinement logits of a unit feature
+    are +-1e308: finite, but their difference is wider than the float range."""
+    model = opis.ToyModel.initialize(1, 1, 1, seed=0)
+    model.flat[:] = 0.0
+    model.w_ref[0][...] = [[1e308], [-1e308]]
+    path.write_text(model.to_json())
+    return str(path)
+
+
+WIDE_LOGITS = "[data]\nnum_classes = 1\nfeature_dim = 1\n\n[model]\nrefinements = 1\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["eval", "sample-demo"])
+def test_logits_wider_than_the_float_range_warn_nothing(command, tmp_path, capsys):
+    """A softmax over finite logits whose spread overflows gives the
+    overflowed entries 0, without a numpy warning."""
+    p = tmp_path / "wide.ini"
+    p.write_text(WIDE_LOGITS)
+    out = ["--out", str(tmp_path / "o")] if command == "eval" else []
+    assert main([command, "--config", str(p), "--model", _wide_logits_model(tmp_path / "wide.json")] + out) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+# Caps that keep a drawn run small; the keys SMALL_DRAW fixes are not drawn.
+DRAW_CAPS = {"num_proposals": 40, "num_classes": 4, "feature_dim": 4, "refinements": 4, "min_objects": 4,
+             "max_objects": 4, "max_regen_attempts": 100, "batch_size": 12}
+SMALL_DRAW = ("[data]\nnum_classes = 3\nfeature_dim = 4\nnum_proposals = 40\n\n[model]\nrefinements = 2\n\n"
+              "[train]\nscenes_per_epoch = 6\nepochs = 2\neval_scenes = 3\n")
+
+
+def _admissible(key):
+    """A value inside the key's interval: either end (the largest finite float
+    for an unbounded one, a capped size for a count) or one between them."""
+    spec, typ = INTERVALS[key], TYPE_OF[key]
+    low, high = (float(x) for x in spec[1:-1].split(","))
+    if typ is int:
+        ends = (int(low), int(min(high, DRAW_CAPS.get(key, 2**32))))
+        return st.sampled_from(ends) | st.integers(*ends)
+    low = low if spec[0] == "[" else math.nextafter(low, math.inf)
+    high = high if spec[-1] == "]" else math.nextafter(high, -math.inf)
+    return st.sampled_from((low, high)) | st.floats(low, high)
+
+
+DRAWN_KEYS = sorted(set(INTERVALS) - {"scenes_per_epoch", "epochs", "eval_scenes"})
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(values=st.lists(st.sampled_from(DRAWN_KEYS), min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({key: _admissible(key) for key in keys})))
+def test_drawn_admissible_config_keeps_the_cli_contract(values, tmp_path_factory, capsys):
+    """Configs drawn from the declared intervals, ends included: train, eval
+    and sample-demo each exit 0, 2 or 3 with at most one stderr line, and a
+    numpy warning fails the test."""
+    tmp = tmp_path_factory.mktemp("drawn")
+    p = tmp / "drawn.ini"
+    p.write_text(_config_with(values, SMALL_DRAW))
+    commands = [["train", "--out", str(tmp / "run"), "--iterations-override", "2"],
+                ["eval", "--model", str(tmp / "run" / "model.json"), "--out", str(tmp / "e")], ["sample-demo"]]
+    for command in commands:
+        rc = main([command[0], "--config", str(p)] + command[1:])
+        err = capsys.readouterr().err
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC) and err.count("\n") <= 1, (command[0], rc, err)
+        assert "Traceback" not in err

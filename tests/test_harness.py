@@ -425,16 +425,22 @@ class TestBranchSupervisionPipeline:
             scores = forward(ToyModel.initialize(3, 8, 2, seed=seed, init_scale=2.0), scene)
             for branch in (1, 2):
                 sup = build_branch_supervision(scene, scores, branch, sched, "pib_only", seed, 120)
-                [balance] = sup.balance
-                centers = np.flatnonzero(scene.image_label) + 1
-                assert list(balance) == centers.tolist()
-                sampled = [r for r in balance.values() if r.outcome == "sampled"]
-                assert sum(r.detail.selected.size for r in sampled) == sup.neg_after[0]
-                kept_pos = {"sampled": lambda r: r.n_pos, "all positives": lambda r: r.n_pos,
-                            "center only": lambda r: 1, "absorbed": lambda r: 0}
-                assert sum(kept_pos[r.outcome](r) for r in balance.values()) == sup.pos_selected[0]
-                assert all((r.detail is None) == (r.outcome != "sampled") for r in balance.values())
-                outcomes.update(r.outcome for r in balance.values())
+                balance = sup.balance
+                present = np.zeros(4, dtype=bool)
+                present[np.flatnonzero(scene.image_label) + 1] = True
+                n_pos, n_neg, drew, fired = balance.n_pos[0], balance.n_neg[0], balance.drew[0], balance.fired[0]
+                assert not (n_pos[~present].any() or n_neg[~present].any())
+                assert balance.supply.shape == (1, 4, 4)
+                np.testing.assert_array_equal(balance.supply[0].sum(axis=1), n_neg)
+                sampled = (n_pos > 0) & (n_neg > 0)
+                # A sampled class selects min(target, n_neg) negatives.
+                selected = np.where(drew, balance.target[0], n_neg)[sampled]
+                assert selected.sum() == sup.neg_after[0]
+                # Every positive of a class stays, unless the neglect rule kept only its center.
+                assert np.where(fired, 1, n_pos).sum() == sup.pos_selected[0]
+                assert not (drew & ~sampled).any() and not (fired & (n_neg > 0)).any()
+                outcomes.update("absorbed" if n_pos[c] == 0 else "sampled" if n_neg[c] else
+                                "center only" if fired[c] else "all positives" for c in np.flatnonzero(present))
         assert outcomes == {"sampled", "center only", "all positives", "absorbed"}
 
     def test_branch_out_of_range_is_rejected(self):
@@ -449,9 +455,9 @@ class TestBranchSupervisionPipeline:
         scene = generate_scene(SMALL_SCENE, rng_for(4, 1, 0))
         scores = forward(ToyModel.initialize(3, 8, 2, seed=4), scene)
         finetune = ScheduleState(t_n=120, t_0=100, t_1=200)
-        assert build_branch_supervision(scene, scores, 1, finetune, "pir_only", 4, 120).balance == [{}]
+        assert build_branch_supervision(scene, scores, 1, finetune, "pir_only", 4, 120).balance is None
         normal = ScheduleState(t_n=50, t_0=100, t_1=200)
-        assert build_branch_supervision(scene, scores, 1, normal, "opis", 4, 50).balance == [{}]
+        assert build_branch_supervision(scene, scores, 1, normal, "opis", 4, 50).balance is None
 
     def test_model_roundtrip_json(self):
         model = ToyModel.initialize(3, 8, 2, seed=8, init_scale=0.3)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from opis.harness import (
     METHODS,
-    ClassBalance,
+    BalanceCounts,
     IterationRecord,
     Scene,
     SceneConfig,
@@ -39,6 +39,7 @@ from opis.harness import (
 from opis.losses import total_loss, zeta
 from opis.reweighting import reweight_branch
 from opis.sampling import (
+    N_BINS,
     SamplerRng,
     ScheduleState,
     apply_selection_mask,
@@ -165,8 +166,9 @@ def test_batched_pass_on_degenerate_scenes(case):
 
     scores = forward(model, scene)
     c_bg = model.num_classes + 1
+    present = (np.flatnonzero(scene.image_label) + 1).tolist()
     for k in range(1, model.num_branches + 1):
-        t, balance, zeta_row = sup.targets.branch(k - 1), sup.balance[k - 1], sup.zeta[k - 1]
+        t, balance, zeta_row = sup.targets.branch(k - 1), sup.balance, sup.zeta[k - 1]
         # Every proposal is exactly one of positive, negative, ignored.
         positive = (t.assigned_class >= 1) & (t.assigned_class < c_bg)
         negative = t.assigned_class == c_bg
@@ -179,21 +181,23 @@ def test_batched_pass_on_degenerate_scenes(case):
         assert np.all(t.weight[~t.selected] == 0.0)
         assert sup.neg_after[k - 1] <= sup.neg_before[k - 1] == np.count_nonzero(negative)
 
-        # The sampler's count law, per sampled class.
-        for c, rec in balance.items():
-            if rec.outcome != "sampled":
-                continue
-            d = rec.detail
-            assert d.selected.size == min(math.floor(schedule.mu * rec.n_pos), rec.n_neg)
-            assert np.all(t.source_class[d.selected] == c) and np.all(negative[d.selected])
-            if d.target < rec.n_neg:
-                assert [s.size for s in d.stage1] == [min(rec.n_pos, b.size) for b in d.bin_members]
-        if balance:
+        # The sampler's count law, per sampled class: the class's negatives
+        # and positives are counted, and its selected negatives number
+        # min(floor(mu * n_pos), n_neg).
+        sampled = []
+        for c in present if balance is not None else []:
+            n_pos, n_neg = int(balance.n_pos[k - 1, c]), int(balance.n_neg[k - 1, c])
+            assert n_pos == np.count_nonzero(t.assigned_class == c)
+            assert n_neg == np.count_nonzero(negative & (t.source_class == c)) == balance.supply[k - 1, c].sum()
+            if n_pos and n_neg:
+                sampled.append(c)
+                kept = np.count_nonzero(t.selected & negative & (t.source_class == c))
+                assert kept == min(math.floor(schedule.mu * n_pos), n_neg)
+        if balance is not None:
             assert zeta_row == scene.num_proposals / np.count_nonzero(t.selected)
         if layout == "one_bin" and np.any(negative):
             # Every negative of the lowest present class falls in one bin.
-            sampled = [r for r in balance.values() if r.outcome == "sampled"]
-            assert all(sum(b.size > 0 for b in r.detail.bin_members) == 1 for r in sampled)
+            assert all(np.count_nonzero(balance.supply[k - 1, c]) == 1 for c in sampled)
 
         expected, zeta_k = single_branch_pipeline(scene, scores, k, schedule, method, seed)
         assert_same_targets(t, expected)
@@ -201,7 +205,10 @@ def test_batched_pass_on_degenerate_scenes(case):
         single = build_branch_supervision(scene, scores, k, schedule, method, seed, schedule.t_n)
         assert_same_targets(single.targets.branch(0), t)
         assert single.zeta.tolist() == [zeta_row]
-        assert single.balance[0].keys() == balance.keys()
+        assert (single.balance is None) == (balance is None)
+        if balance is not None:
+            for name in ("n_pos", "n_neg", "supply", "target", "drew", "fired"):
+                assert_same_array(getattr(single.balance, name), getattr(balance, name)[k - 1 : k], name)
 
 
 @pytest.mark.parametrize("num_branches", [1, 3])
@@ -213,19 +220,24 @@ def test_shared_center_goes_to_the_lowest_class(num_branches):
     model = ToyModel.initialize(3, 4, num_branches, seed=0, init_scale=0.0)
     schedule = ScheduleState(t_n=15, t_0=T_0, t_1=T_1)
     _, _, sup, _ = scene_pass(model, scene, schedule, "opis", 0, 15)
-    assert len(sup.balance) == num_branches
+    balance = sup.balance
+    assert balance.n_pos.shape == (num_branches, 4)
     np.testing.assert_array_equal(sup.targets.source_class, [[2, 2, 2]] * num_branches)
     np.testing.assert_array_equal(sup.targets.assigned_class, [[2, 2, 4]] * num_branches)
-    for balance in sup.balance:
-        assert {c: r.outcome for c, r in balance.items()} == {2: "sampled", 3: "absorbed"}
-        # One negative against a target of floor(mu * 2): the whole supply is kept.
-        assert balance[2].detail.selected.tolist() == [2]
+    # Class 3 is absorbed; class 2 has two positives and one negative.
+    np.testing.assert_array_equal(balance.n_pos, [[0, 0, 2, 0]] * num_branches)
+    np.testing.assert_array_equal(balance.n_neg, [[0, 0, 1, 0]] * num_branches)
+    # One negative against a target of floor(mu * 2): the whole supply is kept.
+    assert not balance.drew.any() and not balance.fired.any()
+    np.testing.assert_array_equal(sup.targets.selected, [[True, True, True]] * num_branches)
 
 
 def loop_supervise_scene(scene, scores, schedule, method, seed, iteration):
     """Oracle: ``supervise_scene`` as a per-(branch, class) loop that opens a
     sampler stream for every group with negatives. Returns the fields of a
-    ``SceneSupervision`` as a dict."""
+    ``SceneSupervision`` as a dict; its ``balance`` holds the record's arrays
+    plus the stage-1 and stage-2 sizes of every group's draw, read from each
+    ``sample_negatives_detail``."""
     supervisors = scores.supervisors
     num_branches, num_proposals = supervisors.shape[0], scene.num_proposals
     classes, centers = cluster_center_indices(supervisors, scene.image_label)
@@ -236,9 +248,14 @@ def loop_supervise_scene(scene, scores, schedule, method, seed, iteration):
     neg_after = neg_before
     zetas = np.ones(num_branches)
 
-    balance = [{} for _ in range(num_branches)]
+    balance = None
     if schedule.phase == "finetune" and method in ("pib_only", "opis"):
         mu, neglect = schedule.mu, schedule.neglect
+        grid = (num_branches, background)
+        balance = dict(n_pos=np.zeros(grid, dtype=np.int64), n_neg=np.zeros(grid, dtype=np.int64),
+                       supply=np.zeros((*grid, N_BINS), dtype=np.int64), target=np.zeros(grid),
+                       drew=np.zeros(grid, dtype=bool), fired=np.zeros(grid, dtype=bool),
+                       stage1=np.zeros((*grid, N_BINS), dtype=np.int64), stage2=np.zeros(grid, dtype=np.int64))
         keep = np.zeros(targets.assigned_class.shape, dtype=bool)
         neg_after = [0] * num_branches
         neg_source = np.where(negative, targets.source_class, 0)
@@ -247,25 +264,31 @@ def loop_supervise_scene(scene, scores, schedule, method, seed, iteration):
             for c, center in zip(classes.tolist(), centers[k].tolist()):
                 pos_c = (assigned == c).nonzero()[0]
                 neg_c = (sources == c).nonzero()[0]
+                balance["n_pos"][k, c], balance["n_neg"][k, c] = pos_c.size, neg_c.size
                 if pos_c.size == 0:
                     # Another class's identical center box absorbed this
                     # class's proposals; there is nothing to balance.
-                    balance[k][c] = ClassBalance(0, neg_c.size, "absorbed")
                     continue
+                product = mu * pos_c.size
+                balance["target"][k, c] = product if product == math.inf else math.floor(product)
                 if neg_c.size > 0:
                     rng = SamplerRng(seed, scene.scene_id, iteration, k + 1, c).generator()
                     detail = sample_negatives_detail(
                         neg_c, targets.max_iou[k, neg_c], pos_c.size, mu,
                         schedule.lambda_ig, schedule.lambda_ng, rng,
                     )
-                    balance[k][c] = ClassBalance(pos_c.size, neg_c.size, "sampled", detail)
+                    assert detail.target == balance["target"][k, c]
+                    balance["supply"][k, c] = [b.size for b in detail.bin_members]
+                    balance["drew"][k, c] = detail.target < neg_c.size
+                    balance["stage1"][k, c] = [s.size for s in detail.stage1]
+                    balance["stage2"][k, c] = detail.stage2.size
                     keep_k[detail.selected] = True
                     neg_after[k] += detail.selected.size
                     kept = pos_c
                 else:
                     kept = reselect_positives(pos_c, supervisors[k], c, center, neglect)
                     # The rule returns pos_c itself unless it fires.
-                    balance[k][c] = ClassBalance(pos_c.size, 0, "all positives" if kept is pos_c else "center only")
+                    balance["fired"][k, c] = kept is not pos_c
                 keep_k[kept] = True
         neg_after = np.array(neg_after)
         targets = keep_selected(targets, keep)
@@ -290,24 +313,22 @@ def assert_same_array(a, b, what):
     assert np.asarray(a).dtype == np.asarray(b).dtype, what
 
 
-def assert_same_records(got, want):
-    """Equal balance records: every ``ClassBalance`` and ``NegativeSampleDetail`` field."""
-    assert len(got) == len(want)
-    for branch_got, branch_want in zip(got, want):
-        assert list(branch_got) == list(branch_want)
-        for c, rec in branch_want.items():
-            other = branch_got[c]
-            assert (other.n_pos, other.n_neg, other.outcome) == (rec.n_pos, rec.n_neg, rec.outcome), c
-            assert (other.detail is None) == (rec.detail is None), c
-            if rec.detail is None:
-                continue
-            assert other.detail.target == rec.detail.target
-            for name in ("bin_members", "stage1"):
-                assert len(getattr(other.detail, name)) == len(getattr(rec.detail, name)), name
-                for a, b in zip(getattr(other.detail, name), getattr(rec.detail, name)):
-                    assert_same_array(a, b, name)
-            assert_same_array(other.detail.stage2, rec.detail.stage2, "stage2")
-            assert_same_array(other.detail.selected, rec.detail.selected, "selected")
+def assert_same_records(got: BalanceCounts | None, want: dict | None):
+    """Equal balance records: every array of ``BalanceCounts``, dtype included.
+    The stage sizes that the ``sample-demo`` trace derives from the record
+    (stage 1 per bin is the supply unless the group drew, and then
+    min(n_pos, supply); the group selects min(target, n_neg)) are those the
+    oracle's sampler drew."""
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    for name in ("n_pos", "n_neg", "supply", "target", "drew", "fired"):
+        assert_same_array(getattr(got, name), want[name], name)
+    sampled = (got.n_pos > 0) & (got.n_neg > 0)
+    stage1 = np.where(got.drew[..., None], np.minimum(got.supply, got.n_pos[..., None]), got.supply)
+    selected = np.where(got.drew, got.target, got.n_neg).astype(np.int64)
+    assert_same_array(np.where(sampled[..., None], stage1, 0), want["stage1"], "stage1")
+    assert_same_array(np.where(sampled, selected - stage1.sum(axis=-1), 0), want["stage2"], "stage2")
 
 
 def assert_matches_loop(scene, model, schedule, method, seed):
@@ -320,9 +341,13 @@ def assert_matches_loop(scene, model, schedule, method, seed):
         assert_same_array(getattr(sup, name), want[name], name)
     assert_same_records(sup.balance, want["balance"])
     kinds = set()
-    for rec in (r for branch in want["balance"] for r in branch.values()):
-        drew = rec.detail is not None and rec.detail.target < rec.n_neg
-        kinds.add("drawn" if drew else "kept whole" if rec.outcome == "sampled" else rec.outcome)
+    if want["balance"] is not None:
+        rec = want["balance"]
+        for k in range(model.num_branches):
+            for c in (np.flatnonzero(scene.image_label) + 1).tolist():
+                n_pos, n_neg = rec["n_pos"][k, c], rec["n_neg"][k, c]
+                kinds.add("absorbed" if n_pos == 0 else ("center only" if rec["fired"][k, c] else "all positives")
+                          if n_neg == 0 else "drawn" if rec["drew"][k, c] else "kept whole")
     return kinds
 
 
@@ -369,8 +394,8 @@ def test_batched_balance_matches_the_loop_on_fixed_scenes():
 
 def test_streams_open_only_for_drawing_groups(monkeypatch):
     """One fine-tune pass opens one sampler stream per group with
-    floor(mu * n_pos) < n_neg and none for any other group, a target equal to
-    the supply included, and reading the balance records opens none."""
+    floor(mu * n_pos) < n_neg, the groups its record marks ``drew``, and none
+    for any other group, a target equal to the supply included."""
     opened = []
     generator = SamplerRng.generator
 
@@ -388,32 +413,33 @@ def test_streams_open_only_for_drawing_groups(monkeypatch):
                                    scene_id=seed)
             scores = forward(ToyModel.initialize(3, 8, 3, seed=seed, init_scale=2.0), scene)
             opened.clear()
-            sup = supervise_scene(scene, scores, schedule, "pib_only", seed, t_n)
-            during_pass = sorted(opened)
-            sampled = [(k, c, rec) for k, branch in enumerate(sup.balance, start=1)
-                       for c, rec in branch.items() if rec.outcome == "sampled"]
-            expected = sorted((seed, t_n, k, c) for k, c, rec in sampled
-                              if math.floor(schedule.mu * rec.n_pos) < rec.n_neg)
-            assert during_pass == expected
-            assert sorted(opened) == expected  # the records were built without a stream
+            balance = supervise_scene(scene, scores, schedule, "pib_only", seed, t_n).balance
+            sampled = [(k, c, int(balance.n_pos[k - 1, c]), int(balance.n_neg[k - 1, c]))
+                       for k in (1, 2, 3) for c in (np.flatnonzero(scene.image_label) + 1).tolist()
+                       if balance.n_pos[k - 1, c] and balance.n_neg[k - 1, c]]
+            expected = sorted((seed, t_n, k, c) for k, c, n_pos, n_neg in sampled
+                              if math.floor(schedule.mu * n_pos) < n_neg)
+            assert sorted(opened) == expected
+            assert sorted((seed, t_n, k + 1, c) for k, c in zip(*balance.drew.nonzero())) == expected
             drawing += len(expected)
             kept_whole += len(sampled) - len(expected)
-            target_at_supply += sum(math.floor(schedule.mu * rec.n_pos) == rec.n_neg for _, _, rec in sampled)
+            target_at_supply += sum(math.floor(schedule.mu * n_pos) == n_neg for _, _, n_pos, n_neg in sampled)
     assert drawing > 0 and kept_whole > 0 and target_at_supply > 0
 
 
-def test_balance_records_do_not_depend_on_read_order():
+def test_branch_rows_equal_the_scene_record():
+    """Each ``build_branch_supervision`` row is that row of the whole scene's
+    record, and a rerun records the same arrays."""
     cfg = SceneConfig(num_classes=3, feature_dim=8, num_proposals=40, clutter_rate=0.3)
     scene = generate_scene(cfg, np.random.default_rng(np.random.SeedSequence(3, spawn_key=(1, 0))))
     scores = forward(ToyModel.initialize(3, 8, 3, seed=3, init_scale=2.0), scene)
     schedule = ScheduleState(t_n=12, t_0=T_0, t_1=T_1)
-    records_first = supervise_scene(scene, scores, schedule, "opis", 3, 12)
-    rows_first = [build_branch_supervision(scene, scores, k, schedule, "opis", 3, 12) for k in (1, 2, 3)]
-    # The rows, last branch first, are read before the whole scene's records.
-    row_balance = [row.balance for row in reversed(rows_first)][::-1]
-    balance = records_first.balance
-    assert_same_records(balance, [rows[0] for rows in row_balance])
-    assert_same_records(balance, supervise_scene(scene, scores, schedule, "opis", 3, 12).balance)
+    balance = supervise_scene(scene, scores, schedule, "opis", 3, 12).balance
+    rows = [build_branch_supervision(scene, scores, k, schedule, "opis", 3, 12).balance for k in (1, 2, 3)]
+    rerun = supervise_scene(scene, scores, schedule, "opis", 3, 12).balance
+    for name in ("n_pos", "n_neg", "supply", "target", "drew", "fired"):
+        assert_same_array(np.concatenate([getattr(row, name) for row in rows]), getattr(balance, name), name)
+        assert_same_array(getattr(rerun, name), getattr(balance, name), name)
 
 
 def loop_train(config, dataset):
