@@ -104,6 +104,9 @@ def load_config(path: str | Path) -> TrainConfig:
                 train_kwargs[key] = value
     try:
         scene = SceneConfig(**scene_kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[data]: {exc}") from exc
+    try:
         return TrainConfig(scene=scene, **train_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -16,7 +16,7 @@ import math
 import time
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,12 +29,14 @@ from .sampling import (
     SamplerParams,
     SamplerRng,
     ScheduleState,
-    _binned_draw,
+    _stored_generator,
+    _two_stage_draw,
     bounded,
     check_bounds,
     iou_bins,
     keep_selected,
     reselect_positives,
+    sampler_states,
 )
 from .supervision import SupervisionTargets, assign_branches, cluster_center_indices
 
@@ -67,6 +69,14 @@ _TAG_SCENE = 1
 _TAG_MODEL = 2
 _TAG_SHUFFLE = 3
 _TAG_PROTOTYPES = 5
+
+# Most (scene, iteration, branch, class) sampler keys whose PCG64 seeds
+# ``train`` builds at once, unless one iteration has more: 4096 keys are
+# 128 KiB of states.
+STATE_CHUNK_KEYS = 4096
+
+# A stream source: (batch slot, 1-based branch, class) -> that group's sampler stream.
+Streams = Callable[[int, int, int], np.random.Generator]
 
 
 class TrainingDivergence(RuntimeError):
@@ -113,6 +123,9 @@ class SceneConfig:
         for low, high in (("object_size_min", "object_size_max"), ("clutter_size_min", "clutter_size_max")):
             if not getattr(self, low) <= getattr(self, high) <= self.world_size:
                 raise ValueError(f"need {low} <= {high} <= world_size, got {getattr(self, low)}, {getattr(self, high)}")
+        if round(self.num_proposals * self.clutter_rate) == self.num_proposals:
+            raise ValueError(f"clutter_rate = {self.clutter_rate!r} makes all num_proposals = {self.num_proposals} "
+                             "proposals clutter, which leaves none to cover the objects")
 
 
 @dataclass
@@ -457,11 +470,17 @@ def supervise_scene(
     progressive instance balance when active, then positive reweighting when
     active. Branch k is supervised by ``scores.phis[k-1]``. It is the one-scene
     case of the stacked supervision that ``train`` runs per minibatch."""
-    return _supervise([scene], scores.supervisors[None], scores.phi, schedule, method, seed, iteration)
+    return _supervise([scene], scores.supervisors[None], scores.phi, schedule, method,
+                      _rng_streams(seed, [scene], iteration))
+
+
+def _rng_streams(seed: int, scenes: Sequence[Scene], iteration: int) -> Streams:
+    """The stream source that opens each group's ``SamplerRng`` stream."""
+    return lambda b, branch, c: SamplerRng(seed, scenes[b].scene_id, iteration, branch, c).generator()
 
 
 def _supervise(scenes: Sequence[Scene], supervisors: np.ndarray, phi: np.ndarray, schedule: ScheduleState,
-               method: str, seed: int, iteration: int) -> SceneSupervision:
+               method: str, streams: Streams | None) -> SceneSupervision:
     """Supervision of B scenes' K branches as one (B*K, P) stack. Row b*K + k-1
     is branch k of scene b, supervised by ``supervisors[b, k-1]``, with branch
     softmax ``phi[b*K + k-1]``. Centers and assignment run per scene.
@@ -470,9 +489,12 @@ def _supervise(scenes: Sequence[Scene], supervisors: np.ndarray, phi: np.ndarray
     whole: a group with positives keeps all of them, unless it has no
     negatives and the neglect rule fires, and keeps all its negatives unless
     its target floor(mu * n_pos) is below their supply. Only then does it
-    draw, on its own (scene, iteration, branch, class) ``SamplerRng`` stream,
-    so the draws are those of the per-class sampler. The group counts of
-    the pass are its ``balance`` record.
+    draw, on the stream ``streams(b, k, c)`` of its (scene, iteration, branch,
+    class) key, from its slices of the pass's negatives sorted by group and
+    IoU bin, so the draws are those of the per-class sampler on that key's
+    ``SamplerRng`` stream. ``streams`` is unused, and may be ``None``, when
+    instance balance is inactive. The group counts of the pass are its
+    ``balance`` record.
     """
     num_branches, num_proposals = supervisors.shape[1], phi.shape[-1]
     lambda_ig, lambda_ng, finetune = schedule.lambda_ig, schedule.lambda_ng, schedule.phase == "finetune"
@@ -491,8 +513,8 @@ def _supervise(scenes: Sequence[Scene], supervisors: np.ndarray, phi: np.ndarray
         labeled, source = targets.assigned_class > 0, targets.source_class
         group = source + stride * np.arange(rows)[:, None]
         neg_group, neg_col = group[negative], negative.nonzero()[1]
-        neg_bin = iou_bins(targets.max_iou[negative], lambda_ig, lambda_ng)
-        supply = np.bincount(neg_group * N_BINS + neg_bin, minlength=rows * stride * N_BINS).reshape(-1, N_BINS)
+        bin_key = neg_group * N_BINS + iou_bins(targets.max_iou[negative], lambda_ig, lambda_ng)
+        supply = np.bincount(bin_key, minlength=rows * stride * N_BINS).reshape(-1, N_BINS)
         n_neg = supply.sum(axis=1)
         n_pos = np.bincount(group[labeled], minlength=rows * stride) - n_neg
         has_pos = n_pos > 0
@@ -500,11 +522,16 @@ def _supervise(scenes: Sequence[Scene], supervisors: np.ndarray, phi: np.ndarray
             target = np.floor(mu * n_pos)
         drew = has_pos & (target < n_neg)
         keep = labeled & (~negative | (has_pos & ~drew)[group])
-        for g in drew.nonzero()[0].tolist():
-            (b, k), c = divmod(g // stride, num_branches), g % stride
-            at = neg_group == g
-            rng = SamplerRng(seed, scenes[b].scene_id, iteration, k + 1, c).generator()
-            keep[g // stride, _binned_draw(neg_col[at], neg_bin[at], int(n_pos[g]), mu, rng).selected] = True
+        drawing = drew.nonzero()[0].tolist()
+        if drawing:
+            # Each (group, bin) is one slice, its columns in ascending order.
+            by_bin = neg_col[np.argsort(bin_key, kind="stable")]
+            bounds = [0, *np.cumsum(supply).tolist()]
+            for g in drawing:
+                (b, k), c = divmod(g // stride, num_branches), g % stride
+                picks = _two_stage_draw(by_bin, bounds[g * N_BINS : (g + 1) * N_BINS + 1], int(n_pos[g]),
+                                        int(target[g]), streams(b, k + 1, c))
+                keep[g // stride, np.concatenate(picks)] = True
 
         fired = np.zeros(rows * stride, dtype=bool)
         for g in (has_pos & (n_neg == 0)).nonzero()[0].tolist():
@@ -579,17 +606,19 @@ def scene_pass(
     runs per minibatch.
     """
     ws = _workspace(model, 1, scene.num_proposals)
-    midn, ref_losses, sup = _batch_pass(model, [scene], schedule, method, seed, iteration, ws, frozen, want_grads)
+    midn, ref_losses, sup = _batch_pass(model, [scene], schedule, method, _rng_streams(seed, [scene], iteration), ws,
+                                        frozen, want_grads)
     grads = ToyModel.from_flat(ws.grads[0], model.num_classes, model.feature_dim, model.num_branches)
     return float(midn[0]), ref_losses, sup, grads if want_grads else None
 
 
-def _batch_pass(model: ToyModel, scenes: Sequence[Scene], schedule: ScheduleState, method: str, seed: int,
-                iteration: int, ws: SimpleNamespace, frozen: SceneSupervision | None = None,
+def _batch_pass(model: ToyModel, scenes: Sequence[Scene], schedule: ScheduleState, method: str,
+                streams: Streams | None, ws: SimpleNamespace, frozen: SceneSupervision | None = None,
                 want_grads: bool = True) -> tuple[np.ndarray, list[float], SceneSupervision]:
-    """``scene_pass`` of B scenes of one proposal count, in the buffers ``ws``:
-    the (B,) MIDN losses, the B*K refinement losses and (B*K, P) supervision,
-    scene-major; row b of ``ws.grads`` is scene b's gradient."""
+    """``scene_pass`` of B scenes of one proposal count, in the buffers ``ws``,
+    drawing on ``streams``: the (B,) MIDN losses, the B*K refinement losses
+    and (B*K, P) supervision, scene-major; row b of ``ws.grads`` is scene b's
+    gradient."""
     c, k, b = model.num_classes, model.num_branches, len(scenes)
     np.concatenate([scene.features for scene in scenes], out=ws.features.reshape(-1, model.feature_dim))
     labels = np.array([scene.image_label for scene in scenes])
@@ -597,7 +626,7 @@ def _batch_pass(model: ToyModel, scenes: Sequence[Scene], schedule: ScheduleStat
     ws.supervisors[:, 1:] = ws.phi[:, :-1]
     phi = ws.phi.reshape(b * k, c + 1, -1)
     y_raw = image_scores(ws.supervisors[:, 0, :c])
-    sup = _supervise(scenes, ws.supervisors, phi, schedule, method, seed, iteration) if frozen is None else frozen
+    sup = _supervise(scenes, ws.supervisors, phi, schedule, method, streams) if frozen is None else frozen
     results = midn_loss(y_raw, labels), refinement_losses(sup.targets, phi, sup.zeta), sup
     if not want_grads:
         return results
@@ -725,6 +754,18 @@ def _batch_indices(config: TrainConfig, n_scenes: int) -> np.ndarray:
     return np.concatenate(chunks)[:need]
 
 
+def _chunk_states(seed: int, dataset: Sequence[Scene], batches: list[list[int]], start: int, stop: int,
+                  num_branches: int, num_classes: int) -> np.ndarray:
+    """Sampler states of iterations [start, stop): entry [it - start, b, k-1, c]
+    is the ``sampler_states`` row of (scene of slot b, it, branch k, class c)."""
+    keys = np.empty((stop - start, len(batches[0]), num_branches, num_classes + 1, 4), dtype=np.int64)
+    keys[..., 0] = np.array([[dataset[i].scene_id for i in batch] for batch in batches[start:stop]])[..., None, None]
+    keys[..., 1] = np.arange(start, stop)[:, None, None, None]
+    keys[..., 2] = np.arange(1, num_branches + 1)[:, None]
+    keys[..., 3] = np.arange(num_classes + 1)
+    return sampler_states(seed, keys.reshape(-1, 4)).reshape(keys.shape)
+
+
 def train(config: TrainConfig, dataset: Sequence[Scene]) -> tuple[ToyModel, TrainLog]:
     """Two-phase SGD training of the toy model on a scene dataset.
 
@@ -737,6 +778,9 @@ def train(config: TrainConfig, dataset: Sequence[Scene]) -> tuple[ToyModel, Trai
     loop. Each iteration is one stacked step over its B scenes, in buffers
     made once per run, so every scene must have the same proposal count. Each
     scene's losses and gradient equal its ``scene_pass``'s, summed in order.
+    Instance balance draws on the same streams as ``scene_pass``. It opens
+    them from PCG64 seeds that the loop builds when it reaches an iteration
+    without them, for as many iterations as ``STATE_CHUNK_KEYS`` keys allow.
     """
     if len(dataset) == 0:
         raise ValueError("dataset must not be empty")
@@ -753,14 +797,24 @@ def train(config: TrainConfig, dataset: Sequence[Scene]) -> tuple[ToyModel, Trai
     log = TrainLog(num_branches=config.refinements)
     inv_b, k = 1.0 / config.batch_size, config.refinements
     schedules = [config.schedule(it) for it in range(config.total_iterations)]
+    draws = config.method in ("pib_only", "opis")
+    chunk = max(1, STATE_CHUNK_KEYS // (config.batch_size * k * (model.num_classes + 1)))  # iterations
+    states, first = np.empty((0,)), 0  # the states of iterations [first, first + len(states))
 
     for it, (schedule, batch) in enumerate(zip(schedules, batches)):
         start = time.perf_counter()
         if not model.all_finite():
             raise TrainingDivergence("model parameters became non-finite", it)
+        streams = None
+        if draws and schedule.phase == "finetune":
+            if it >= first + len(states):
+                first = it
+                states = _chunk_states(config.seed, dataset, batches, it, min(it + chunk, config.total_iterations),
+                                       k, model.num_classes)
+            streams = lambda b, branch, c, rows=states[it - first]: _stored_generator(rows[b, branch - 1, c])
         try:
             losses_midn, ref_losses, sup = _batch_pass(model, [dataset[i] for i in batch], schedule, config.method,
-                                                           config.seed, it, ws)
+                                                       streams, ws)
         except ValueError as exc:
             # Finite parameters can still overflow inside the forward pass.
             raise TrainingDivergence(f"non-finite values while scoring: {exc}", it) from exc

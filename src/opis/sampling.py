@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "SamplerParams",
     "ScheduleState",
     "SamplerRng",
+    "sampler_states",
     "NegativeSampleDetail",
     "progressive_t",
     "ratio_mu",
@@ -164,7 +165,9 @@ class SamplerRng:
     """Seeded random stream keyed by (scene, iteration, branch, class).
 
     Identical coordinates always reproduce identical draws, independently of
-    the order classes or branches are processed in.
+    the order classes or branches are processed in. ``train`` derives the same
+    streams from ``sampler_states`` rows, a chunk of (scene, iteration, branch,
+    class) keys at a time, and opens them with ``_stored_generator``.
     """
 
     seed: int
@@ -177,6 +180,62 @@ class SamplerRng:
         key = (_SAMPLER_TAG, self.scene_id, self.iteration, self.branch, self.class_id)
         # The same stream as default_rng(SeedSequence(...)), built directly.
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=key)))
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(words: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix of uint32 words, and the hash constant after it."""
+    words = words ^ np.uint32(hash_const)
+    hash_const = hash_const * mult & _MASK32
+    words *= np.uint32(hash_const)
+    return words ^ words >> 16, hash_const
+
+
+def sampler_states(seed: int, keys) -> np.ndarray:
+    """(n, 4) uint64 PCG64 seeds of n (scene, iteration, branch, class) keys.
+
+    Row i equals ``SeedSequence(seed, spawn_key=(_SAMPLER_TAG, *keys[i]))
+    .generate_state(4, np.uint64)``, computed for all rows at once: the key
+    words are mixed into numpy's own pool of the tagged seed, whose entropy
+    is max(4, seed words) + 1 words, and the pool is hashed out. Key words
+    must lie in [0, 2**32), where numpy spends one entropy word on each.
+    """
+    keys = np.asarray(keys)
+    if keys.size and not 0 <= keys.min() <= keys.max() <= _MASK32:
+        raise ValueError(f"sampler key words must lie in [0, {_MASK32}], got {keys.min()}..{keys.max()}")
+    pool = np.repeat(np.random.SeedSequence(seed, spawn_key=(_SAMPLER_TAG,)).pool[:, None], len(keys), axis=1)
+    hash_const = _INIT_A * pow(_MULT_A, 4 * (max(4, -(-int(seed).bit_length() // 32)) + 1), 1 << 32) & _MASK32
+    for word in keys.T.astype(np.uint32):
+        for dst in range(4):
+            value, hash_const = _hashmix(word, hash_const, _MULT_A)
+            mixed = pool[dst] * np.uint32(_MIX_MULT_L) - value * np.uint32(_MIX_MULT_R)
+            pool[dst] = mixed ^ mixed >> 16
+    # generate_state(4, np.uint64): 8 words cycling over the pool, paired little-endian.
+    words, hash_const = [], _INIT_B
+    for i in range(8):
+        value, hash_const = _hashmix(pool[i % 4], hash_const, _MULT_B)
+        words.append(value)
+    return np.stack(words, axis=1).view("<u8").astype(np.uint64, copy=False)
+
+
+class _StoredState(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands PCG64 one stored ``sampler_states`` row."""
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.state
+
+
+def _stored_generator(state: np.ndarray) -> np.random.Generator:
+    """The ``SamplerRng`` stream whose PCG64 seed is the ``sampler_states`` row ``state``."""
+    return np.random.Generator(np.random.PCG64(_StoredState(state)))
 
 
 @dataclass
@@ -215,7 +274,21 @@ def sample_negatives_detail(
 
     if lambda_ig >= lambda_ng:
         raise ValueError(f"need lambda_ig < lambda_ng, got ({lambda_ig}, {lambda_ng})")
-    return _binned_draw(neg_indices, iou_bins(neg_ious, lambda_ig, lambda_ng), n_pos, mu, rng)
+    bin_of = iou_bins(neg_ious, lambda_ig, lambda_ng)
+    product = mu * n_pos
+    # An overflowing product is a target above every supply, not an error.
+    target = product if product == math.inf else math.floor(product)
+    # Positions into neg_indices, bin by bin, each bin in input order.
+    by_bin = np.argsort(bin_of, kind="stable")
+    bounds = [0, *np.cumsum(np.bincount(bin_of, minlength=N_BINS)).tolist()]
+    bins = [neg_indices[by_bin[lo:hi]] for lo, hi in zip(bounds, bounds[1:])]
+    if target >= neg_indices.size:
+        return NegativeSampleDetail(target=target, bin_members=bins, stage1=[b.copy() for b in bins],
+                                    stage2=np.empty(0, dtype=np.int64), selected=np.sort(neg_indices))
+    picks = [np.sort(neg_indices[at]) for at in _two_stage_draw(by_bin, bounds, n_pos, target, rng)]
+    stage2 = picks[N_BINS] if len(picks) > N_BINS else np.empty(0, dtype=np.int64)
+    return NegativeSampleDetail(target=target, bin_members=bins, stage1=picks[:N_BINS], stage2=stage2,
+                                selected=np.sort(np.concatenate(picks)))
 
 
 def iou_bins(ious: np.ndarray, lambda_ig: float, lambda_ng: float) -> np.ndarray:
@@ -224,41 +297,35 @@ def iou_bins(ious: np.ndarray, lambda_ig: float, lambda_ng: float) -> np.ndarray
     return np.minimum(np.maximum(((ious - lambda_ig) / width).astype(np.int64), 0), N_BINS - 1)
 
 
-def _binned_draw(neg_indices: np.ndarray, bin_of: np.ndarray, n_pos: int, mu: float,
-                 rng: np.random.Generator) -> NegativeSampleDetail:
-    """``sample_negatives_detail`` on checked int64 indices and their ``iou_bins``."""
-    product = mu * n_pos
-    # An overflowing product is a target above every supply, not an error.
-    target = product if product == math.inf else math.floor(product)
-    bin_pos = [(bin_of == j).nonzero()[0] for j in range(N_BINS)]
-    bins = [neg_indices[pos] for pos in bin_pos]
-    detail = NegativeSampleDetail(target=target, bin_members=bins, stage1=[], stage2=np.empty(0, dtype=np.int64))
+def _two_stage_draw(members: np.ndarray, bounds: Sequence[int], n_pos: int, target: int,
+                   rng: np.random.Generator) -> list[np.ndarray]:
+    """The two-stage law on one group of negatives whose target is below its supply.
 
-    if target >= neg_indices.size:
-        detail.stage1 = [b.copy() for b in bins]
-        detail.selected = np.sort(neg_indices)
-        return detail
-
-    taken = np.zeros(neg_indices.size, dtype=bool)
-    stage1_size = 0
-    for pos in bin_pos:
-        take = min(n_pos, pos.size)
-        # Drawing positions consumes the stream exactly as drawing the members.
-        picked = pos[rng.choice(pos.size, size=take, replace=False)] if take else pos
-        taken[picked] = True
-        members = neg_indices[picked]
-        members.sort()
-        detail.stage1.append(members)
-        stage1_size += take
-    # Only a target below the supply gets here, so need < remaining.size.
-    need = target - stage1_size
+    The group is ``members[bounds[0]:bounds[-1]]``, with IoU bin j at
+    ``members[bounds[j]:bounds[j + 1]]``; each bin lists its members in the
+    group's order, which is ascending member order. Returns the stage-1 picks
+    of each bin, in draw order, and then the stage-2 top-up when there is one.
+    """
+    start = bounds[0]
+    group = members[start : bounds[-1]]
+    taken = np.zeros(group.size, dtype=bool)
+    picks, need = [], target
+    for lo, hi in zip(bounds, bounds[1:]):
+        take = min(n_pos, hi - lo)
+        if take:
+            # Drawing positions consumes the stream exactly as drawing the members.
+            at = rng.choice(hi - lo, size=take, replace=False)
+            at += lo - start
+            taken[at] = True
+            picks.append(group[at])
+            need -= take
+        else:
+            picks.append(group[:0])
+    # A target below the supply leaves need < remaining.size.
     if need > 0:
-        remaining = neg_indices[~taken]
-        detail.stage2 = remaining[rng.choice(remaining.size, size=need, replace=False)]
-        detail.stage2.sort()
-    detail.selected = np.concatenate([*detail.stage1, detail.stage2])
-    detail.selected.sort()
-    return detail
+        remaining = np.sort(group[~taken])
+        picks.append(remaining[rng.choice(remaining.size, size=need, replace=False)])
+    return picks
 
 
 def sample_negatives(

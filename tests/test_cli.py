@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import opis
-from opis import cli
+from opis import cli, harness
 from opis.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, ConfigError, load_config, main, resolved_config_text
 
 SMALL_CONFIG = """\
@@ -42,6 +42,7 @@ eval_seed = 77
 
 
 TRAIN_GOLDENS = Path(__file__).parent / "data" / "train_golden"
+OPIS_PIN = SMALL_CONFIG + "\n[schedule]\nt0_fraction = 0.1\n"
 
 
 @pytest.fixture
@@ -185,18 +186,50 @@ class TestTrainCommand:
         assert rc == EXIT_CONFIG
         assert "learning_rate" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method,config_text", [
-        ("opis", SMALL_CONFIG + "\n[schedule]\nt0_fraction = 0.1\n"),
-        ("baseline", SMALL_CONFIG),
-    ])
-    def test_outputs_pinned(self, method, config_text, tmp_path):
-        # Captured before the training step was batched over branches.
+    @staticmethod
+    def assert_pinned(golden, method, config_text, tmp_path):
         p = tmp_path / "pin.ini"
         p.write_text(config_text)
         out = tmp_path / "run"
         assert main(["train", "--config", str(p), "--out", str(out), "--method", method]) == EXIT_OK
         for name in ("trainlog.csv", "model.json"):
-            assert (out / name).read_bytes() == (TRAIN_GOLDENS / method / name).read_bytes(), name
+            assert (out / name).read_bytes() == (TRAIN_GOLDENS / golden / name).read_bytes(), name
+
+    @pytest.mark.parametrize("method,config_text", [
+        ("opis", OPIS_PIN),
+        ("baseline", SMALL_CONFIG),
+        ("pib_only", OPIS_PIN),
+    ])
+    def test_outputs_pinned(self, method, config_text, tmp_path):
+        # opis and baseline were captured before the training step was batched
+        # over branches, pib_only before training seeded its sampler streams
+        # from state chunks.
+        self.assert_pinned(method, method, config_text, tmp_path)
+
+    def test_two_word_seed_pinned(self, tmp_path):
+        # 2**40 + 5 is two 32-bit words of SeedSequence entropy, where every
+        # other pin has one.
+        config_text = OPIS_PIN.replace("\nseed = 0\n", f"\nseed = {2**40 + 5}\n")
+        self.assert_pinned("opis_two_word_seed", "opis", config_text, tmp_path)
+
+    # 16 sampler keys an iteration (2 scenes, 2 branches, 4 classes); fine-tuning is iterations 2-19.
+    @pytest.mark.parametrize("cap,chunks", [
+        (1, [(it, it + 1) for it in range(2, 20)]),
+        (80, [(2, 7), (7, 12), (12, 17), (17, 20)]),
+        (112, [(2, 9), (9, 16), (16, 20)]),
+    ])
+    def test_state_chunk_boundaries_keep_the_opis_pin(self, cap, chunks, monkeypatch, tmp_path):
+        built = []
+        chunk_states = harness._chunk_states
+
+        def recording(seed, dataset, batches, start, stop, *rest):
+            built.append((start, stop))
+            return chunk_states(seed, dataset, batches, start, stop, *rest)
+
+        monkeypatch.setattr(harness, "STATE_CHUNK_KEYS", cap)
+        monkeypatch.setattr(harness, "_chunk_states", recording)
+        self.assert_pinned("opis", "opis", OPIS_PIN, tmp_path)
+        assert built == chunks
 
     def test_module_entry_point_runs(self, config_path, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(opis.__file__).parents[1]))
@@ -771,6 +804,11 @@ BAD_WORLDS = {
     # Finite proposals whose areas overflow a union: a warning and exit 0, or a traceback.
     "overflowing_proposal_areas": (dict(jitter=1e303),
                                    "box coordinates or IoUs are not finite at world_size = 100.0, jitter = 1e+303"),
+    # Every proposal was clutter: coverage was luck, and a failure blamed three other keys.
+    "clutter_only_rounded_up": (dict(num_proposals=40, clutter_rate=0.9999999999999999),
+                                "clutter_rate = 0.9999999999999999 makes all num_proposals = 40 proposals clutter"),
+    "clutter_only_three_proposals": (dict(num_proposals=3, clutter_rate=0.9),
+                                     "clutter_rate = 0.9 makes all num_proposals = 3 proposals clutter"),
 }
 
 

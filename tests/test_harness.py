@@ -82,6 +82,13 @@ class TestSceneGeneration:
             np.testing.assert_array_equal(norms[overlap == 0.0], 0.0)
             np.testing.assert_allclose(norms[overlap > 0.0], 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("num_proposals,clutter_rate", [(40, 0.9999999999999999), (3, 0.9)])
+    def test_clutter_only_world_rejected(self, num_proposals, clutter_rate):
+        # round(P * clutter_rate) == P leaves no jittered proposal to cover the objects.
+        with pytest.raises(ValueError, match=f"clutter_rate = {clutter_rate!r} .* num_proposals = {num_proposals}"):
+            SceneConfig(num_proposals=num_proposals, clutter_rate=clutter_rate)
+        SceneConfig(num_proposals=num_proposals + 100, clutter_rate=0.9)  # some proposals stay jittered
+
     def test_features_unit_norm(self):
         s = generate_scene(SMALL_SCENE, rng_for(7, 1, 0))
         np.testing.assert_allclose(np.linalg.norm(s.features, axis=1), 1.0, atol=1e-12)

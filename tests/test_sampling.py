@@ -7,16 +7,22 @@ import numpy as np
 import pytest
 
 from opis.sampling import (
+    _SAMPLER_TAG,
+    N_BINS,
+    NegativeSampleDetail,
     SamplerRng,
+    _stored_generator,
     ScheduleState,
     apply_selection_mask,
     iou_bin_edges,
+    iou_bins,
     neglect_threshold,
     progressive_t,
     ratio_mu,
     reselect_positives,
     sample_negatives,
     sample_negatives_detail,
+    sampler_states,
 )
 from opis.supervision import SupervisionTargets
 
@@ -96,6 +102,73 @@ def make_rng(seed=0, scene=0, iteration=0, branch=1, class_id=1):
     return SamplerRng(seed, scene, iteration, branch, class_id).generator()
 
 
+class TestSamplerStates:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128, 2**200 + 17])
+    def test_rows_are_numpys_seed_sequence_states(self, seed):
+        keys = np.random.default_rng(seed % 2**32).integers(0, 2**32, size=(24, 4))
+        keys[:4] = [[0, 0, 0, 0], [2**32 - 1] * 4, [0, 2**32 - 1, 1, 0], [7, 4000, 3, 4]]
+        states = sampler_states(seed, keys)
+        assert states.dtype == np.uint64 and states.shape == (24, 4)
+        for key, row in zip(keys.tolist(), states):
+            expected = np.random.SeedSequence(seed, spawn_key=(_SAMPLER_TAG, *key)).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(row, expected)
+            stream = SamplerRng(seed, *key).generator()
+            assert _stored_generator(row).bit_generator.state == stream.bit_generator.state
+
+    def test_rows_of_a_stacked_array_open_their_streams(self):
+        # train opens streams from rows of a (iterations, B, K, C + 1, 4) chunk.
+        keys = np.stack(np.meshgrid([3, 9], [5, 6], [1, 2], [0, 1, 2], indexing="ij"), axis=-1)
+        states = sampler_states(11, keys.reshape(-1, 4)).reshape(keys.shape)
+        for index in np.ndindex(keys.shape[:-1]):
+            draws = _stored_generator(states[index]).choice(50, size=7, replace=False)
+            np.testing.assert_array_equal(draws, make_rng(11, *keys[index].tolist()).choice(50, size=7, replace=False))
+
+    @pytest.mark.parametrize("word", [2**32, -1])
+    def test_key_words_outside_one_uint32_raise(self, word):
+        with pytest.raises(ValueError, match="sampler key words"):
+            sampler_states(0, [[0, 0, 1, 1], [0, 0, 1, word]])
+
+    def test_no_keys_no_states(self):
+        assert sampler_states(5, np.empty((0, 4), dtype=np.int64)).shape == (0, 4)
+
+
+def mask_sampler(neg_indices, bin_of, n_pos, mu, rng):
+    """Oracle: the two-stage sampler as it was before the draws took their
+    bins from one sort, finding each bin by a mask over the input."""
+    product = mu * n_pos
+    # An overflowing product is a target above every supply, not an error.
+    target = product if product == math.inf else math.floor(product)
+    bin_pos = [(bin_of == j).nonzero()[0] for j in range(N_BINS)]
+    bins = [neg_indices[pos] for pos in bin_pos]
+    detail = NegativeSampleDetail(target=target, bin_members=bins, stage1=[], stage2=np.empty(0, dtype=np.int64))
+
+    if target >= neg_indices.size:
+        detail.stage1 = [b.copy() for b in bins]
+        detail.selected = np.sort(neg_indices)
+        return detail
+
+    taken = np.zeros(neg_indices.size, dtype=bool)
+    stage1_size = 0
+    for pos in bin_pos:
+        take = min(n_pos, pos.size)
+        # Drawing positions consumes the stream exactly as drawing the members.
+        picked = pos[rng.choice(pos.size, size=take, replace=False)] if take else pos
+        taken[picked] = True
+        members = neg_indices[picked]
+        members.sort()
+        detail.stage1.append(members)
+        stage1_size += take
+    # Only a target below the supply gets here, so need < remaining.size.
+    need = target - stage1_size
+    if need > 0:
+        remaining = neg_indices[~taken]
+        detail.stage2 = remaining[rng.choice(remaining.size, size=need, replace=False)]
+        detail.stage2.sort()
+    detail.selected = np.concatenate([*detail.stage1, detail.stage2])
+    detail.selected.sort()
+    return detail
+
+
 def random_negative_pool(rng, per_bin, lam_ig=0.1, lam_ng=0.5):
     """Indices and IoUs with a prescribed number of negatives per bin."""
     edges = iou_bin_edges(lam_ig, lam_ng)
@@ -155,6 +228,28 @@ class TestSampleNegatives:
             assert out.size == min(target, supply) == expect
             assert np.unique(out).size == out.size  # without replacement
             assert set(out) <= set(indices)
+
+    def test_draws_equal_the_per_bin_mask_sampler(self):
+        """Every stage of every draw equals the sampler that found each bin
+        by a mask over the input, on the same stream, with the bins' members
+        interleaved in the input."""
+        rng = np.random.default_rng(6)
+        for trial in range(300):
+            indices, ious = random_negative_pool(rng, rng.integers(0, 30, size=4).tolist())
+            if indices.size == 0:
+                continue
+            order = rng.permutation(indices.size)
+            n_pos, mu = int(rng.integers(1, 12)), float(rng.uniform(0.0, 25.0))
+            detail = sample_negatives_detail(indices[order], ious[order], n_pos, mu, 0.1, 0.5,
+                                             make_rng(iteration=trial))
+            oracle = mask_sampler(indices[order], iou_bins(ious[order], 0.1, 0.5), n_pos, mu,
+                                  make_rng(iteration=trial))
+            assert detail.target == oracle.target
+            for name in ("bin_members", "stage1"):
+                for got, want in zip(getattr(detail, name), getattr(oracle, name), strict=True):
+                    np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(detail.stage2, oracle.stage2)
+            np.testing.assert_array_equal(detail.selected, oracle.selected)
 
     def test_bit_reproducible(self):
         rng = np.random.default_rng(5)
